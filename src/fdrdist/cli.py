@@ -40,7 +40,7 @@ from .dependence import (
     latent_bh_pmf,
     latent_pvalue_correlation,
 )
-from .mle import FitOptions, fit, select_order
+from .mle import fit, select_order
 from .power import power_table
 from .simulate import (
     GumbelCopula,
@@ -281,7 +281,7 @@ def _add_options(options):
               help="JSON output (default).")
 @click.option("--csv", "fmt", flag_value="csv", help="CSV output.")
 @click.option("--seed", default=0, show_default=True, type=int,
-              help="Seed for any randomized step (fit starts, simulation).")
+              help="Seed for the simulate command's random draws.")
 @click.pass_context
 def main(ctx, precision_bits, fmt, seed):
     """Distributions of multiple-testing discovery counts: exact pmfs,
@@ -316,20 +316,17 @@ def _dist_summary(dist) -> dict:
               help="Fit this fixed order instead of selecting one.")
 @click.option("--max-order", default=6, show_default=True, type=int,
               help="Largest order tried by the selection sweep.")
-@click.option("--starts", default=8, show_default=True, type=int,
-              help="Number of optimizer start points.")
 @_add_options(_file_options)
 @click.pass_obj
 @_handle_errors
-def fit_cmd(obj, file, order, max_order, starts, column, delimiter):
+def fit_cmd(obj, file, order, max_order, column, delimiter):
     """Maximum-likelihood fit of the p-value density family to FILE."""
     values, lines, skipped = read_pvalues(file, column, delimiter)
     _reject_zeros(values, lines, file)
-    options = FitOptions(n_starts=starts, seed=obj["seed"])
     if order is not None:
-        result = fit(values, order, options)
+        result = fit(values, order)
     else:
-        result = select_order(values, max_order, options)
+        result = select_order(values, max_order)
     trace = [
         {"order": f.order, "loglik": f.loglik,
          "theta_hat": list(f.theta_hat.coeffs)}
@@ -339,8 +336,7 @@ def fit_cmd(obj, file, order, max_order, starts, column, delimiter):
         trace[i]["two_delta"] = 2.0 * (trace[i]["loglik"] - trace[i - 1]["loglik"])
     config = {
         "file": file, "order": order, "max_order": max_order,
-        "starts": starts, "seed": obj["seed"], "column": column,
-        "delimiter": delimiter, "skipped_rows": skipped,
+        "column": column, "delimiter": delimiter, "skipped_rows": skipped,
     }
     result_doc = {
         "selected_order": result.order,

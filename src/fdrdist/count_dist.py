@@ -122,14 +122,22 @@ class CountDistribution:
         return math.sqrt(max(self.var(), 0.0))
 
     def mean_error_bound(self) -> float:
-        """Error bar on the truncated mean from the unseen tail."""
-        return self.tail_mass * self.k_max
+        """Upper bound on the mean lost to truncation: the unseen tail
+        sits at counts k_max+1..n, so it adds at most tail_mass * n."""
+        return self.tail_mass * self.setup.n
 
     def prob(self, k: int) -> float:
         return float(self.pmf[k]) if 0 <= k <= self.k_max else 0.0
 
     def prob_at_most(self, k: int) -> float:
         return float(self.pmf[: min(k, self.k_max) + 1].sum())
+
+
+def _check_tail_tol(tail_tol: float) -> None:
+    """Reject truncation tolerances outside (0, 1), NaN included: 0 runs
+    the pmf out to k = n, and 1 or more truncates it to nothing."""
+    if not 0.0 < tail_tol < 1.0:
+        raise InputError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
 
 
 def _checked_pvalues(pvalues) -> np.ndarray:
@@ -159,7 +167,7 @@ def bh_count(pvalues, alpha: float) -> int:
     n = arr.size
     if n == 0:
         return 0
-    ok = arr <= np.arange(1, n + 1) * (alpha / n)
+    ok = arr <= np.arange(1, n + 1) * alpha / n
     return int(np.argmax(~ok)) if not ok.all() else n
 
 
@@ -175,7 +183,7 @@ def bh_count_step_up(pvalues, alpha: float) -> int:
     n = arr.size
     if n == 0:
         return 0
-    ok = np.flatnonzero(arr <= np.arange(1, n + 1) * (alpha / n))
+    ok = np.flatnonzero(arr <= np.arange(1, n + 1) * alpha / n)
     return int(ok[-1]) + 1 if ok.size else 0
 
 
@@ -316,6 +324,7 @@ def bh_pmf(setup: TestingSetup, prec: PrecisionContext | None = None,
     whole computation repeats at doubled precision until successive
     passes agree per entry to the context's rel_tol.
     """
+    _check_tail_tol(tail_tol)
     prec = prec or PrecisionContext()
     if k_max is not None:
         if k_max < 0:
@@ -406,6 +415,7 @@ def _binomial_truncation(dist, tail_tol: float, n_cap: int) -> int:
 
 def bonferroni_pmf(setup: TestingSetup, tail_tol: float = 1e-9) -> CountDistribution:
     """Bonferroni count: Binomial(n, Psi(alpha/n)) under independence."""
+    _check_tail_tol(tail_tol)
     p_star = cdf(setup.alpha / setup.n, setup.marginal)
     dist = stats.binom(setup.n, p_star)
     k_max = _binomial_truncation(dist, tail_tol, setup.n)
@@ -421,6 +431,7 @@ def bonferroni_pmf(setup: TestingSetup, tail_tol: float = 1e-9) -> CountDistribu
 
 def bonferroni_poisson(setup: TestingSetup, tail_tol: float = 1e-9) -> CountDistribution:
     """Large-n Poisson limit of the Bonferroni count, mean n*Psi(alpha/n)."""
+    _check_tail_tol(tail_tol)
     mean = setup.n * cdf(setup.alpha / setup.n, setup.marginal)
     dist = stats.poisson(mean)
     k_max = _binomial_truncation(dist, tail_tol, setup.n)

@@ -30,7 +30,8 @@ import numpy as np
 from mpmath import mp, mpf, workprec
 
 from .errors import ConstraintError, InputError, NumericError
-from .count_dist import CountDistribution, TestingSetup, bh_pmf, _stabilize
+from .count_dist import CountDistribution, TestingSetup, bh_pmf
+from .count_dist import _check_tail_tol, _stabilize
 from .psi_dist import (
     PrecisionContext,
     ThetaParams,
@@ -167,6 +168,7 @@ def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
     """
     if not gamma >= 1.0:
         raise ConstraintError(f"gamma must be >= 1, got {gamma}")
+    _check_tail_tol(tail_tol)
     prec = prec or PrecisionContext()
     n = setup.n
     beta = setup.marginal
@@ -216,10 +218,13 @@ def latent_bh_pmf(setup: TestingSetup, eps,
                   prec: PrecisionContext | None = None,
                   tail_tol: float = 1e-9) -> CountDistribution:
     """Step-down count pmf under the latent fair-coin model: the
-    equal-weight mixture of the two conditional (independent) pmfs."""
+    equal-weight mixture of the two conditional (independent) pmfs.
+    With eps all zero both are the same pmf, computed once."""
+    _check_tail_tol(tail_tol)
     minus, plus = perturbed_pair(setup.marginal, eps)
     dist_m = bh_pmf(TestingSetup(setup.n, setup.alpha, minus), prec, tail_tol)
-    dist_p = bh_pmf(TestingSetup(setup.n, setup.alpha, plus), prec, tail_tol)
+    dist_p = dist_m if plus == minus else bh_pmf(
+        TestingSetup(setup.n, setup.alpha, plus), prec, tail_tol)
     k_max = max(dist_m.k_max, dist_p.k_max)
     pmf = np.zeros(k_max + 1)
     pmf[: dist_m.k_max + 1] += 0.5 * dist_m.pmf

@@ -1,17 +1,20 @@
 """Maximum-likelihood fitting of the log-polynomial p-value family.
 
-The likelihood is maximized over the nested box constraints by a
-derivative-free simplex search in transformed coordinates: each
-coefficient is a sigmoid fraction of the interval allowed by the
-coefficients above it, so every point the optimizer visits maps to a
-valid parameter vector.  Multi-start (a near-uniform corner, a
-small-coefficient point, and random feasible draws) guards against the
-flat ridges this likelihood develops near the boundary.
+With x = -log p, an order-I density is 1 + sum_j theta_j (x^j - j!),
+linear in the coefficients, so the log-likelihood is concave.  The valid
+region used here is the chained box theta_i >= 0,
+sum_{j>=i} j! theta_j <= 1; in the mixture weights u_j = j! theta_j it
+is the simplex u >= 0, sum(u) <= 1.  One SLSQP solve over that simplex,
+with the analytic gradient and from a single interior start, reaches the
+global maximum, since a concave function has no other local maxima.
+For orders >= 2 the top coefficient stays at or above the smallest
+normal float, because the order is defined by theta_I > 0; order 1
+keeps the closed interval [0, 1].
 
-Standard errors come from a central finite-difference Hessian of the
-negative log-likelihood at the estimate.  Coefficients that land on a
-constraint boundary are reported exactly on it and their standard
-errors flagged, since curvature-based errors are not trustworthy there.
+Standard errors come from the exact observed information, the Hessian
+sum v v^T / f^2 of the negative log-likelihood.  Coefficients within
+1e-8 of a constraint are reported exactly on it and flagged as active,
+since curvature-based errors are not trustworthy there.
 """
 
 from __future__ import annotations
@@ -23,14 +26,9 @@ import numpy as np
 from scipy import optimize
 
 from .errors import InputError, NumericError
-from .psi_dist import (
-    ThetaParams,
-    chained_upper_bound,
-    random_theta,
-    require_valid,
-)
+from .psi_dist import ThetaParams, chained_upper_bound, require_valid
 
-__all__ = ["FitOptions", "FitResult", "log_likelihood", "fit", "select_order"]
+__all__ = ["FitResult", "log_likelihood", "fit", "select_order"]
 
 _BOUNDARY_SNAP = 1e-8
 _CHI2_1_05 = 3.84  # chi-squared(1 df) critical value at .05
@@ -38,28 +36,15 @@ _NO_CHANGE = 1e-4
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """Optimizer settings; the seed pins the random starts."""
-
-    n_starts: int = 8
-    seed: int = 0
-    fatol: float = 1e-8
-    xatol: float = 1e-9
-    maxiter: int = 5000
-
-    def __post_init__(self):
-        if self.n_starts < 1:
-            raise InputError(f"n_starts must be >= 1, got {self.n_starts}")
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Outcome of one maximum-likelihood fit.
 
-    ``boundary_flags[i]`` marks coefficient i+1 as sitting on a
-    constraint boundary (its standard error is then unreliable).
-    ``std_errs`` is None when the Hessian is not positive definite.
-    ``trace`` carries the per-order fits when produced by select_order.
+    ``boundary_flags[i]`` marks coefficient i+1 as sitting on an active
+    constraint (its standard error is then unreliable).  ``std_errs``
+    are the square roots of the diagonal of the inverse observed
+    information, None when that matrix is not positive definite.
+    ``iterations`` counts SLSQP iterations.  ``trace`` carries the
+    per-order fits when produced by select_order.
     """
 
     theta_hat: ThetaParams
@@ -98,16 +83,16 @@ def _checked_pvalues(pvalues) -> np.ndarray:
     return np.sort(arr)
 
 
-def _poly_coeffs(theta: ThetaParams) -> np.ndarray:
-    # highest power first, constant term last, as np.polyval expects
-    return np.array(list(theta.coeffs[::-1]) + [theta.theta0])
+def _design(x: np.ndarray, order: int) -> np.ndarray:
+    """Rows v with v_j = x^j - j!, so the density is 1 + v . theta."""
+    return np.stack(
+        [x ** j - math.factorial(j) for j in range(1, order + 1)], axis=1
+    )
 
 
-def _loglik_from_x(x: np.ndarray, theta: ThetaParams) -> float:
-    vals = np.polyval(_poly_coeffs(theta), x)
-    if np.any(vals <= 0.0):
-        return -math.inf
-    return float(np.log(vals).sum())
+def _loglik(v: np.ndarray, theta: ThetaParams) -> float:
+    f = 1.0 + v @ np.array(theta.coeffs)
+    return float(np.log(f).sum()) if np.all(f > 0.0) else -math.inf
 
 
 def log_likelihood(pvalues, theta: ThetaParams) -> float:
@@ -116,61 +101,13 @@ def log_likelihood(pvalues, theta: ThetaParams) -> float:
     arr = _checked_pvalues(pvalues)
     if theta.order == 0:
         return 0.0
-    return _loglik_from_x(-np.log(arr), theta)
-
-
-def _sigmoid(y: np.ndarray) -> np.ndarray:
-    # floored at the smallest normal float: the map must stay inside the
-    # open interval, or extreme simplex steps would underflow a strictly
-    # positive top coefficient to an exact, invalid zero
-    out = np.empty_like(y)
-    pos = y >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-    ey = np.exp(y[~pos])
-    out[~pos] = np.maximum(ey / (1.0 + ey), np.finfo(float).tiny)
-    return out
-
-
-def _y_to_theta(y: np.ndarray, order: int) -> tuple:
-    """Map unconstrained coordinates to a valid coefficient tuple,
-    filling from the highest order down so each box bound is known."""
-    frac = _sigmoid(y)
-    coeffs = [0.0] * order
-    for i in range(order, 0, -1):
-        upper = chained_upper_bound(i, coeffs)
-        coeffs[i - 1] = frac[i - 1] * upper
-    return tuple(coeffs)
-
-
-def _theta_to_y(coeffs, order: int) -> np.ndarray:
-    y = np.empty(order)
-    filled = [0.0] * order
-    for i in range(order, 0, -1):
-        upper = chained_upper_bound(i, filled)
-        frac = coeffs[i - 1] / upper if upper > 0 else 0.0
-        frac = min(max(frac, 1e-12), 1.0 - 1e-12)
-        y[i - 1] = math.log(frac / (1.0 - frac))
-        filled[i - 1] = coeffs[i - 1]
-    return y
-
-
-def _start_points(order: int, n_starts: int, seed: int) -> list:
-    starts = []
-    # near the uniform corner: all coefficients tiny
-    starts.append(np.full(order, math.log(1e-3 / (1 - 1e-3))))
-    if n_starts > 1:
-        # moderate coefficients, a tenth of each box
-        starts.append(np.full(order, math.log(0.1 / 0.9)))
-    rng = np.random.default_rng(seed)
-    while len(starts) < n_starts:
-        theta = random_theta(order, rng)
-        starts.append(_theta_to_y(theta.coeffs, order))
-    return starts[:n_starts]
+    return _loglik(_design(-np.log(arr), theta.order), theta)
 
 
 def _snap_boundaries(coeffs: tuple, order: int) -> tuple:
     """Coefficients within the snap tolerance of a box edge are set
-    exactly on it; returns (snapped coefficients, flags)."""
+    exactly on it; returns (snapped coefficients, active-constraint
+    flags)."""
     snapped = list(coeffs)
     flags = [False] * order
     for i in range(order, 0, -1):
@@ -188,51 +125,28 @@ def _snap_boundaries(coeffs: tuple, order: int) -> tuple:
     return tuple(snapped), tuple(flags)
 
 
-def _fd_std_errs(x: np.ndarray, theta: ThetaParams):
-    """Central finite-difference Hessian of -loglik; None when it is not
-    positive definite (boundary or flat directions)."""
-    order = theta.order
-    est = np.array(theta.coeffs)
-    h = 1e-4 * np.maximum(1.0, np.abs(est))
-
-    def nll(c):
-        return -_loglik_from_x(x, ThetaParams(order, tuple(c)))
-
-    f0 = nll(est)
-    hess = np.empty((order, order))
-    for i in range(order):
-        ei = np.zeros(order)
-        ei[i] = h[i]
-        hess[i, i] = (nll(est + ei) - 2.0 * f0 + nll(est - ei)) / h[i] ** 2
-        for j in range(i + 1, order):
-            ej = np.zeros(order)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                nll(est + ei + ej) - nll(est + ei - ej)
-                - nll(est - ei + ej) + nll(est - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    if not np.all(np.isfinite(hess)):
+def _std_errs(v: np.ndarray, theta: ThetaParams):
+    """Square roots of the diagonal of the inverse observed information
+    sum v v^T / f^2; None when it is not positive definite."""
+    f = 1.0 + v @ np.array(theta.coeffs)
+    if np.any(f <= 0.0):
         return None
+    w = v / f[:, None]
     try:
-        eigs = np.linalg.eigvalsh(hess)
-        if np.any(eigs <= 0.0):
-            return None
-        cov = np.linalg.inv(hess)
+        chol = np.linalg.cholesky(w.T @ w)
     except np.linalg.LinAlgError:
         return None
-    diag = np.diag(cov)
-    if np.any(diag <= 0.0):
-        return None
-    return tuple(float(s) for s in np.sqrt(diag))
+    # diag(H^-1) = column sums of squares of L^-1 when H = L L^T
+    linv = np.linalg.inv(chol)
+    return tuple(float(s) for s in np.sqrt((linv ** 2).sum(axis=0)))
 
 
-def fit(pvalues, order: int, options: FitOptions | None = None) -> FitResult:
+def fit(pvalues, order: int) -> FitResult:
     """Maximum-likelihood estimate of a fixed-order model.
 
-    Runs the simplex search from every start point, keeps the best
-    converged result (ties broken by start index, so the outcome is
-    independent of scheduling), snaps boundary coefficients, and
-    attaches finite-difference standard errors.
+    Solves the concave problem once with SLSQP, snaps coefficients onto
+    the constraints they reach, and attaches observed-information
+    standard errors.  Raises NumericError if the solve fails.
     """
     if order < 1:
         raise InputError(f"order must be >= 1, got {order}")
@@ -242,42 +156,42 @@ def fit(pvalues, order: int, options: FitOptions | None = None) -> FitResult:
             f"need at least order + 5 = {order + 5} observations to fit "
             f"order {order}, got {arr.size}"
         )
-    options = options or FitOptions()
-    x = -np.log(arr)
+    v = _design(-np.log(arr), order)
+    fact = np.array([math.factorial(j) for j in range(1, order + 1)], dtype=float)
+    # solving for u_j = j! theta_j rather than theta: the simplex needs
+    # one constraint, not I, and only with the columns of v divided by
+    # j! does SLSQP converge reliably at orders 5 and 6
+    m = v / fact
 
-    def objective(y):
-        return -_loglik_from_x(x, ThetaParams(order, _y_to_theta(y, order)))
+    def objective(u):
+        # the mean, not the sum, keeps SLSQP's ftol on a per-point scale
+        f = 1.0 + m @ u
+        if np.any(f <= 0.0):
+            return math.inf, np.zeros(order)
+        return -float(np.log(f).mean()), -(m / f[:, None]).mean(axis=0)
 
-    best = None
-    for idx, y0 in enumerate(_start_points(order, options.n_starts, options.seed)):
-        res = optimize.minimize(
-            objective,
-            y0,
-            method="Nelder-Mead",
-            options=dict(
-                fatol=options.fatol,
-                xatol=options.xatol,
-                maxiter=options.maxiter,
-                maxfev=2 * options.maxiter,
-            ),
-        )
-        if not res.success:
-            continue
-        key = (-res.fun, -idx)  # highest loglik, then earliest start
-        if best is None or key > best[0]:
-            best = (key, res)
-    if best is None:
-        raise NumericError(
-            f"no simplex start converged within {options.maxiter} iterations"
-        )
-    res = best[1]
-    coeffs, flags = _snap_boundaries(_y_to_theta(res.x, order), order)
+    bounds = [(0.0, None)] * order
+    if order > 1:
+        bounds[-1] = (fact[-1] * np.finfo(float).tiny, None)
+    res = optimize.minimize(
+        objective,
+        np.full(order, 0.1 / order),
+        jac=True,
+        method="SLSQP",
+        bounds=bounds,
+        constraints=[{"type": "ineq", "fun": lambda u: 1.0 - u.sum(),
+                      "jac": lambda u: -np.ones(order)}],
+        options=dict(ftol=1e-12, maxiter=500),
+    )
+    if not res.success:
+        raise NumericError(f"SLSQP fit of order {order} failed: {res.message}")
+    coeffs, flags = _snap_boundaries(tuple(float(c) for c in res.x / fact), order)
     theta_hat = ThetaParams(order, coeffs)
     require_valid(theta_hat, "fitted parameters")
     return FitResult(
         theta_hat=theta_hat,
-        std_errs=_fd_std_errs(x, theta_hat),
-        loglik=_loglik_from_x(x, theta_hat),
+        std_errs=_std_errs(v, theta_hat),
+        loglik=_loglik(v, theta_hat),
         n_obs=int(arr.size),
         pi0_hat=theta_hat.theta0,
         converged=True,
@@ -286,8 +200,7 @@ def fit(pvalues, order: int, options: FitOptions | None = None) -> FitResult:
     )
 
 
-def select_order(pvalues, max_order: int = 6,
-                 options: FitOptions | None = None) -> FitResult:
+def select_order(pvalues, max_order: int = 6) -> FitResult:
     """Fit increasing orders until the likelihood stops improving.
 
     Stops at order I when twice the log-likelihood gain over I-1 falls
@@ -297,10 +210,10 @@ def select_order(pvalues, max_order: int = 6,
     """
     if max_order < 1:
         raise InputError(f"max_order must be >= 1, got {max_order}")
-    fits = [fit(pvalues, 1, options)]
+    fits = [fit(pvalues, 1)]
     selected = fits[0]
     for order in range(2, max_order + 1):
-        candidate = fit(pvalues, order, options)
+        candidate = fit(pvalues, order)
         fits.append(candidate)
         gain = candidate.loglik - selected.loglik
         if 2.0 * gain < _CHI2_1_05 or gain < _NO_CHANGE:

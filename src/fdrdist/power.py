@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ConstraintError, InputError
 from .psi_dist import PrecisionContext, ThetaParams, validate_theta
-from .count_dist import TestingSetup
+from .count_dist import TestingSetup, _check_tail_tol
 from .dependence import latent_bh_pmf, latent_pvalue_correlation
 
 __all__ = ["PowerRow", "PowerGrid", "scale_theta", "power_table"]
@@ -29,7 +29,7 @@ __all__ = ["PowerRow", "PowerGrid", "scale_theta", "power_table"]
 @dataclass(frozen=True)
 class PowerRow:
     """One grid cell.  ``expected_bh_error`` bounds the mean error due to
-    pmf truncation (tail mass times the truncation point)."""
+    pmf truncation (tail mass times the number of tests)."""
 
     n_subjects: int
     z: float
@@ -87,6 +87,7 @@ def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
         raise InputError(
             f"pilot must be a FitResult or ThetaParams, got {type(pilot).__name__}"
         )
+    _check_tail_tol(tail_tol)
     n_values = tuple(int(v) for v in n_values)
     z_values = tuple(float(v) for v in z_values)
     if not n_values or not z_values:

@@ -228,7 +228,7 @@ def empirical_count_distribution(config: SimConfig,
         raise InputError(f"rule must be one of {_RULES}, got {rule!r}")
     n, alpha = config.n_tests, config.alpha
     counts = np.zeros(n + 1, dtype=np.int64)
-    thresh = np.arange(1, n + 1) * (alpha / n)
+    thresh = np.arange(1, n + 1) * alpha / n
     for _, _, chunk in _iter_pvalue_chunks(config):
         if rule_key == "bh":
             ok = np.sort(chunk, axis=1) <= thresh

@@ -162,10 +162,8 @@ def test_fit_fixed_order(runner, tmp_path):
     rng = np.random.default_rng(5)
     f = tmp_path / "u.txt"
     f.write_text("\n".join(str(v) for v in rng.uniform(size=200)))
-    doc = _json(_invoke(runner, ["fit", str(f), "--order", "2",
-                                 "--starts", "3"]))
+    doc = _json(_invoke(runner, ["fit", str(f), "--order", "2"]))
     assert doc["result"]["selected_order"] == 2
-    assert doc["config"]["starts"] == 3
 
 
 def test_fit_rejects_zero_pvalue_with_line_number(runner, tmp_path):
@@ -217,6 +215,21 @@ def test_dependent_eps_and_z_sigma_are_equivalent(runner):
     neither = _invoke(runner, base)
     assert neither.exit_code == 2
     assert "either --eps or both" in neither.output
+
+
+@pytest.mark.parametrize("args", [
+    ["bh-dist", "--uniform"],
+    ["bonf-dist", "--uniform"],
+    ["bonf-dist", "--uniform", "--poisson"],
+    ["bonf-dist", "--theta", "0.158,0.0492,0.0201", "--gamma", "1.05"],
+    ["dependent", "--theta", "0.158,0.0492,0.0201", "--eps", "0,0,0"],
+])
+def test_tail_tol_outside_unit_interval_is_bad_input(runner, args):
+    for bad in ("0", "1.5", "nan"):
+        result = _invoke(runner, args + ["--n", "50", "--alpha", "0.05",
+                                         "--tail-tol", bad])
+        assert result.exit_code == 2
+        assert "tail_tol must lie in (0, 1)" in result.output
 
 
 def test_dependent_length_mismatch(runner):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from mpmath import binomial as mp_binomial, mpf, workprec
 from scipy import stats
 
@@ -105,6 +105,9 @@ def test_count_input_validation():
     st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
     st.floats(min_value=0.01, max_value=0.99),
 )
+# p-values exactly on i*alpha/n, which (alpha/n)*i rounds below
+@example(p=[0.0, 0.0, 0.928028517921406], alpha=0.928028517921406)
+@example(p=[0.0, 0.75, 0.928028517921406], alpha=0.928028517921406)
 def test_counting_rules_match_naive_loops(p, alpha):
     assert bh_count(p, alpha) == _naive_step_down(p, alpha)
     assert bh_count_step_up(p, alpha) == _naive_step_up(p, alpha)
@@ -231,7 +234,7 @@ def test_bh_pmf_breast_cancer_regression():
     assert dist.tail_mass <= 1e-9
     assert dist.k_max >= 120
     assert dist.precision_bits >= 256
-    assert dist.mean_error_bound() <= 1e-9 * dist.k_max
+    assert dist.mean_error_bound() <= 1e-9 * 3226
 
 
 def test_bh_pmf_forced_k_max_truncates():
@@ -242,7 +245,7 @@ def test_bh_pmf_forced_k_max_truncates():
     assert len(cut.pmf) == 11
     np.testing.assert_allclose(cut.pmf, full.pmf[:11], rtol=1e-10)
     assert cut.tail_mass == pytest.approx(1.0 - cut.pmf.sum(), abs=1e-12)
-    assert cut.mean_error_bound() == pytest.approx(cut.tail_mass * 10, rel=1e-12)
+    assert cut.mean_error_bound() == pytest.approx(cut.tail_mass * 3226, rel=1e-12)
 
 
 def test_bh_pmf_looser_tail_tol_stops_earlier():
@@ -251,6 +254,15 @@ def test_bh_pmf_looser_tail_tol_stops_earlier():
     tight = bh_pmf(setup, tail_tol=1e-9)
     assert loose.k_max < tight.k_max
     assert loose.tail_mass <= 1e-4
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, 1.0, 1.5, -1e-9, math.nan])
+@pytest.mark.parametrize("pmf", [bh_pmf, bonferroni_pmf, bonferroni_poisson])
+def test_pmfs_reject_tail_tol_outside_unit_interval(pmf, tail_tol):
+    # 0 would run the recursion to k = n; 1 or more, or NaN, would
+    # silently return a one-entry pmf
+    with pytest.raises(InputError, match="tail_tol"):
+        pmf(TestingSetup(400, 0.05, THETA_BC3), tail_tol=tail_tol)
 
 
 def test_bh_pmf_rejects_unreachable_precision():

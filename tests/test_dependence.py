@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import SIG_BC3, THETA_BC3
+from fdrdist import dependence
 from fdrdist import (
     ConstraintError,
     GumbelCopula,
@@ -186,13 +187,31 @@ def test_latent_pmf_is_exact_half_mixture():
     assert abs(mixture.pmf.sum() + mixture.tail_mass - 1.0) <= 1e-9
 
 
-def test_latent_zero_eps_collapses_to_independent():
+def test_latent_zero_eps_collapses_to_independent(monkeypatch):
     setup = TestingSetup(200, 0.05, THETA_BC3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bh_pmf(*args)
+
+    monkeypatch.setattr(dependence, "bh_pmf", counted)
     mixture = latent_bh_pmf(setup, (0.0, 0.0, 0.0))
+    assert len(calls) == 1
     base = bh_pmf(setup)
     assert mixture.k_max == base.k_max
-    np.testing.assert_allclose(mixture.pmf, base.pmf, rtol=1e-13)
+    assert mixture.precision_bits == base.precision_bits
+    np.testing.assert_array_equal(mixture.pmf, base.pmf)
     assert latent_pvalue_correlation(THETA_BC3, (0.0, 0.0, 0.0)) == 0.0
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, 1.0, 1.5, -1e-9, math.nan])
+def test_dependent_pmfs_reject_tail_tol_outside_unit_interval(tail_tol):
+    setup = TestingSetup(400, 0.05, THETA_BC3)
+    with pytest.raises(InputError, match="tail_tol"):
+        bonferroni_pmf_copula(setup, 1.05, tail_tol=tail_tol)
+    with pytest.raises(InputError, match="tail_tol"):
+        latent_bh_pmf(setup, HALF_SIG, tail_tol=tail_tol)
 
 
 def test_latent_breast_cancer_half_sigma():

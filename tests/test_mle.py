@@ -2,8 +2,9 @@
 handling, parameter recovery on synthetic data, and order selection.
 
 Oracles: the density evaluated directly, datasets drawn from known
-parameters by the simulation engine, and finite-difference standard
-errors checked by coverage counts.
+parameters by the simulation engine, a central-difference Hessian of the
+log-likelihood for the observed-information standard errors, the KKT
+conditions of the constrained maximum, and coverage counts.
 """
 import math
 
@@ -12,7 +13,6 @@ import pytest
 
 from conftest import SIG_BC3, THETA_BC3
 from fdrdist import (
-    FitOptions,
     InputError,
     SimConfig,
     ThetaParams,
@@ -21,6 +21,7 @@ from fdrdist import (
     log_likelihood,
     sample_pvalues,
     select_order,
+    validate_theta,
 )
 
 
@@ -131,20 +132,10 @@ def test_fit_recovers_known_parameters():
     for est, true, se in zip(res.theta_hat.coeffs, THETA_BC3.coeffs,
                              res.std_errs):
         assert abs(est - true) <= 3 * se
-    # finite-difference errors agree with the reference spreads for
+    # observed-information errors agree with the reference spreads for
     # this sample size to within a modest factor
     for se, ref in zip(res.std_errs, SIG_BC3):
         assert abs(se - ref) / ref < 0.25
-
-
-def test_fit_options_change_search_but_not_data_checks():
-    p = _draws(THETA_BC3, 400, seed=23)
-    full = fit(p, 2)
-    quick = fit(p, 2, FitOptions(n_starts=2))
-    assert quick.converged
-    # the reduced search still lands on the same optimum here
-    for a, b in zip(quick.theta_hat.coeffs, full.theta_hat.coeffs):
-        assert a == pytest.approx(b, abs=5e-5)
 
 
 def test_fd_standard_errors_cover_truth():
@@ -161,6 +152,72 @@ def test_fd_standard_errors_cover_truth():
                zip(res.theta_hat.coeffs, true.coeffs, res.std_errs)):
             hits += 1
     assert hits >= 17
+
+
+def _score(p, theta):
+    """Gradient of the log-likelihood: sum over points of v / f, with
+    v_j = x^j - j! and f the density."""
+    x = -np.log(np.asarray(p))
+    v = np.stack([x ** j - math.factorial(j)
+                  for j in range(1, theta.order + 1)], axis=1)
+    return (v / density(np.asarray(p), theta)[:, None]).sum(axis=0)
+
+
+def test_std_errs_match_central_difference_hessian():
+    p = _draws(THETA_BC3, 3226, seed=1001)
+    res = fit(p, 3)
+    assert res.boundary_flags == (False, False, False)
+    est = np.array(res.theta_hat.coeffs)
+    h = 1e-2 * np.array(res.std_errs)
+
+    def nll(c):
+        return -log_likelihood(p, ThetaParams(3, tuple(c)))
+
+    hess = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            ei, ej = np.eye(3)[i] * h[i], np.eye(3)[j] * h[j]
+            hess[i, j] = (nll(est + ei + ej) - nll(est + ei - ej)
+                          - nll(est - ei + ej) + nll(est - ei - ej)) / (4 * h[i] * h[j])
+    oracle = np.sqrt(np.diag(np.linalg.inv(hess)))
+    np.testing.assert_allclose(res.std_errs, oracle, rtol=1e-4)
+
+
+@pytest.mark.parametrize("p, flags", [
+    (_draws(THETA_BC3, 3226, seed=1001), (False, False, False)),
+    (_draws(THETA_BC3, 3226, seed=1000), (False, False, True, False)),
+    (_draws(THETA_BC3, 3226, seed=1002), (False, False, False, True)),
+    (np.linspace(0.9, 0.99999, 2000), (True,)),          # theta_1 = 0
+    (np.exp(-np.linspace(3.0, 30.0, 2000)), (True,)),   # theta_1 = 1
+    # theta_0 = 0 with theta_2 free and theta_3..6 at zero
+    (np.exp(-np.random.default_rng(5).gamma(2.0, size=500)),
+     (True, False, True, True, True, True)),
+])
+def test_fit_satisfies_kkt_conditions(p, flags):
+    # in the weights u_j = j! theta_j the region is the simplex u >= 0,
+    # sum(u) <= 1, so at the maximum the score in u equals one multiplier
+    # mu >= 0 on every positive weight and is at most mu on every zero
+    # weight, with mu = 0 while theta_0 = 1 - sum(u) > 0; equality is
+    # measured as the log-likelihood change over one standard error
+    res = fit(p, len(flags))
+    assert res.boundary_flags == flags
+    fact = np.array([math.factorial(j) for j in range(1, len(flags) + 1)])
+    score = _score(p, res.theta_hat) / fact
+    se = np.array(res.std_errs) * fact
+    positive = np.array(res.theta_hat.coeffs) > 1e-8
+    mu = score[positive].mean() if res.theta_hat.theta0 == 0.0 else 0.0
+    assert mu >= 0.0
+    assert np.all(np.abs(score - mu)[positive] * se[positive] < 1e-3)
+    assert np.all(score[~positive] < mu)
+
+
+@pytest.mark.parametrize("order", range(2, 7))
+def test_fit_uniform_data_keeps_top_coefficient_positive(order):
+    p = np.random.default_rng(4).uniform(size=1000)
+    res = fit(p, order)
+    assert validate_theta(res.theta_hat).valid
+    assert res.theta_hat.coeffs[-1] > 0.0
+    assert res.boundary_flags[-1]
 
 
 # --------------------------------------------------------- order selection

@@ -86,6 +86,12 @@ def test_grid_input_errors():
         power_table(THETA_HUANG, 78, 100, 0.05, [78], [-0.1])
 
 
+@pytest.mark.parametrize("tail_tol", [0.0, 1.0, 1.5, -1e-9, math.nan])
+def test_grid_rejects_tail_tol_outside_unit_interval(tail_tol):
+    with pytest.raises(InputError, match="tail_tol"):
+        power_table(THETA_HUANG, 78, 100, 0.05, [78], [0.0], tail_tol=tail_tol)
+
+
 def test_infeasible_cell_names_its_coordinates():
     pilot = ThetaParams(1, (0.3,))
     with pytest.raises(ConstraintError, match=r"N=100, z=4"):
@@ -140,4 +146,5 @@ def test_pilot_extrapolation_regression_values():
     assert dep.expected_bh == pytest.approx(1.7346, abs=5e-4)
     assert dep.prob_bh_positive == pytest.approx(0.4997, abs=5e-4)
     for row in grid.rows:
-        assert row.expected_bh_error < 1e-6
+        # tail mass below the 1e-9 default tail_tol, at counts up to n
+        assert row.expected_bh_error <= 1e-9 * 48803
