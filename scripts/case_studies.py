@@ -12,7 +12,6 @@ import pathlib
 import time
 
 from fdrdist import (
-    PrecisionContext,
     TestingSetup,
     ThetaParams,
     bh_pmf,
@@ -29,10 +28,10 @@ STUDIES = {
 }
 
 
-def run(name, theta, n, alpha, prec, out_dir):
+def run(name, theta, n, alpha, out_dir):
     setup = TestingSetup(n, alpha, theta)
     start = time.perf_counter()
-    dist = bh_pmf(setup, prec)
+    dist = bh_pmf(setup)
     elapsed = time.perf_counter() - start
     approx = normal_approx(setup)
     print(f"== {name}: n = {n}, alpha = {alpha}, "
@@ -44,7 +43,7 @@ def run(name, theta, n, alpha, prec, out_dir):
     print(f"   borel parameter (large-n limit) = "
           f"{borel_limit_param(theta, alpha):.6f}")
     print(f"   truncated at k = {dist.k_max} (tail {dist.tail_mass:.2e}), "
-          f"{dist.precision_bits} bits, {elapsed:.1f}s")
+          f"{elapsed:.2f}s")
     if out_dir is not None:
         path = out_dir / f"{name}_pmf.csv"
         with open(path, "w", newline="") as fh:
@@ -60,16 +59,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--study", choices=sorted(STUDIES) + ["all"],
                         default="all")
-    parser.add_argument("--precision-bits", type=int, default=256)
     parser.add_argument("--out-dir", type=pathlib.Path, default=None,
                         help="write full pmfs as CSV files here")
     args = parser.parse_args()
-    prec = PrecisionContext(bits=args.precision_bits)
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
     names = sorted(STUDIES) if args.study == "all" else [args.study]
     for name in names:
-        run(name, prec=prec, out_dir=args.out_dir, **STUDIES[name])
+        run(name, out_dir=args.out_dir, **STUDIES[name])
 
 
 if __name__ == "__main__":

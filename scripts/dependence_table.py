@@ -9,7 +9,6 @@ correlation at each level.  z = 0 is the independent baseline.
 import argparse
 
 from fdrdist import (
-    PrecisionContext,
     TestingSetup,
     ThetaParams,
     latent_bh_pmf,
@@ -31,21 +30,19 @@ def main():
                         help="per-coefficient perturbation base")
     parser.add_argument("--z-list", type=_floats, default=(0.0, 0.25, 0.5, 0.75),
                         help="comma-separated perturbation scales")
-    parser.add_argument("--precision-bits", type=int, default=256)
     args = parser.parse_args()
 
     theta = ThetaParams(len(args.theta), args.theta)
     if len(args.sigma) != len(args.theta):
         parser.error("--sigma and --theta must have the same length")
     setup = TestingSetup(args.n, args.alpha, theta)
-    prec = PrecisionContext(bits=args.precision_bits)
 
     print(f"n = {args.n}, alpha = {args.alpha}, theta = {args.theta}, "
           f"sigma = {args.sigma}")
     print(f"{'z':>6} {'corr':>9} {'mean':>9} {'sd':>9} {'Pr[BH=0]':>9}")
     for z in args.z_list:
         eps = tuple(z * s for s in args.sigma)
-        dist = latent_bh_pmf(setup, eps, prec)
+        dist = latent_bh_pmf(setup, eps)
         corr = latent_pvalue_correlation(theta, eps)
         print(f"{z:6.2f} {corr:9.5f} {dist.mean():9.4f} {dist.sd():9.4f} "
               f"{dist.prob(0):9.5f}")

@@ -8,7 +8,7 @@ probability of at least one, per (N, z) cell.
 """
 import argparse
 
-from fdrdist import PrecisionContext, ThetaParams, power_table
+from fdrdist import ThetaParams, power_table
 
 
 def _floats(text):
@@ -30,13 +30,11 @@ def main():
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--n-list", type=_ints, default=(78, 300, 450, 600))
     parser.add_argument("--z-list", type=_floats, default=(0.0, 0.4, 0.8))
-    parser.add_argument("--precision-bits", type=int, default=256)
     args = parser.parse_args()
 
     pilot = ThetaParams(len(args.theta), args.theta)
     grid = power_table(pilot, args.pilot_n, args.n_tests, args.alpha,
-                       args.n_list, args.z_list,
-                       PrecisionContext(bits=args.precision_bits))
+                       args.n_list, args.z_list)
     print(f"pilot theta = {args.theta} at N = {args.pilot_n}, "
           f"n_tests = {args.n_tests}, alpha = {args.alpha}")
     print(f"{'N':>6} {'z':>5} {'corr':>9} {'E[BH]':>10} {'Pr[BH>0]':>9}")

@@ -276,7 +276,8 @@ def _add_options(options):
 
 @click.group()
 @click.option("--precision-bits", default=256, show_default=True,
-              help="Starting precision of the adaptive extended-precision passes.")
+              help="Starting precision of the adaptive extended-precision "
+                   "passes (Gumbel-copula Bonferroni law only).")
 @click.option("--json", "fmt", flag_value="json", default=True,
               help="JSON output (default).")
 @click.option("--csv", "fmt", flag_value="csv", help="CSV output.")
@@ -378,14 +379,13 @@ def bh_dist_cmd(obj, n, alpha, theta, uniform_, tail_tol, k_max):
     """Exact distribution of the step-down discovery count."""
     marginal = _resolve_theta(theta, uniform_)
     setup = TestingSetup(n, alpha, marginal)
-    dist = bh_pmf(setup, obj["prec"], tail_tol, k_max)
+    dist = bh_pmf(setup, tail_tol, k_max)
     approx = normal_approx(setup)
     bt_param = borel_limit_param(marginal, alpha)
     bt = [borel_tanner_pmf(bt_param, k) for k in range(dist.k_max + 1)]
     config = {
         "n": n, "alpha": alpha, "theta": list(marginal.coeffs),
         "tail_tol": tail_tol, "k_max_forced": k_max,
-        "precision_bits": obj["precision_bits"],
     }
     result = {
         **_dist_summary(dist),
@@ -498,12 +498,12 @@ def dependent_cmd(obj, n, alpha, theta, eps, z, sigma, tail_tol):
             f"--eps has length {len(eps)}, --theta has {len(theta)}"
         )
     setup = TestingSetup(n, alpha, marginal)
-    dist = latent_bh_pmf(setup, eps, obj["prec"], tail_tol)
+    dist = latent_bh_pmf(setup, eps, tail_tol)
     config = {
         "n": n, "alpha": alpha, "theta": list(marginal.coeffs),
         "eps": list(eps), "z": z,
         "sigma": None if sigma is None else list(sigma),
-        "tail_tol": tail_tol, "precision_bits": obj["precision_bits"],
+        "tail_tol": tail_tol,
     }
     result = {
         **_dist_summary(dist),
@@ -533,12 +533,12 @@ def power_cmd(obj, theta, pilot_n, n_tests, alpha, n_list, z_list, tail_tol):
     """Power table over subject sample sizes and dependence levels."""
     pilot = ThetaParams(len(theta), theta)
     grid = power_table(pilot, pilot_n, n_tests, alpha, n_list, z_list,
-                       obj["prec"], tail_tol)
+                       tail_tol)
     config = {
         "theta": list(pilot.coeffs), "pilot_n": pilot_n,
         "n_tests": n_tests, "alpha": alpha,
         "n_list": list(n_list), "z_list": list(z_list),
-        "tail_tol": tail_tol, "precision_bits": obj["precision_bits"],
+        "tail_tol": tail_tol,
     }
     rows = [
         (r.n_subjects, r.z, r.correlation, r.expected_bh,

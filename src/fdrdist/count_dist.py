@@ -8,9 +8,9 @@ next one exceeds (k+1)*alpha/n.  Its exact pmf is
     Pr[K = k] = n!/(n-k)! * U_k * (1 - Psi((k+1) alpha / n))^(n-k)
 
 where U_k is a k-fold nested integral of the marginal density over the
-staircase region, evaluated here through an alternating recursion.  That
-recursion adds and subtracts nearly equal quantities, so all of it runs
-in extended precision with an adaptive bit-doubling schedule.
+staircase region.  U_k is evaluated through a boundary-crossing
+recursion (Noe 1972; Steck 1971) in which every term is a nonnegative
+probability, so double precision suffices and nothing cancels.
 
 Large-n limits (a Borel-Tanner law near zero and a normal component away
 from it) and the uniform-null closed form live here as well.
@@ -22,15 +22,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
 from scipy import optimize, stats
+from scipy.special import gammaln, xlogy
 
 from .errors import InputError, NumericError
 from .psi_dist import (
-    PrecisionContext,
     ThetaParams,
-    _beta_mp,
-    _cdf_mp,
     cdf,
     density,
     require_valid,
@@ -197,154 +195,97 @@ def bonferroni_count(pvalues, alpha: float) -> int:
     return int(np.count_nonzero(arr <= alpha / arr.size))
 
 
-def _agree(prev, cur, rel_tol: float) -> bool:
-    if len(prev) != len(cur):
-        return False
-    for a, b in zip(prev, cur):
-        scale = max(abs(a), abs(b))
-        if scale < mpf("1e-320"):
-            continue
-        if abs(a - b) > rel_tol * scale:
-            return False
-    return True
+def _step_down_logs(setup: TestingSetup, cap: int):
+    """log U_k and log Pr[K = k] for k = 0..cap, in double precision.
 
-
-def _stabilize(compute, prec: PrecisionContext, what: str):
-    """Run ``compute(bits)`` at doubling precision until two successive
-    results agree entrywise to rel_tol; returns (result, bits)."""
-    bits = prec.bits
-    prev = compute(bits)
-    while True:
-        bits *= 2
-        if bits > prec.max_bits:
-            raise NumericError(
-                f"{what} failed to stabilize to rel_tol={prec.rel_tol} "
-                f"within {prec.max_bits} bits (last level {bits // 2})"
-            )
-        cur = compute(bits)
-        if _agree(prev, cur, prec.rel_tol):
-            return cur, bits
-        prev = cur
-
-
-def _u_sequence(setup: TestingSetup, k_hi: int, bits: int):
-    """U_0..U_k_hi at a fixed precision.
-
-    Reindexed form of the alternating recursion: with c_j = Psi(j alpha/n),
-
-        U_k = sum_{j=1..k} (-1)^(k-j) c_j^(k-j+1) U_{j-1} / (k-j+1)!
-
-    The power table P[j] = c_j^(k-j+1) is advanced by one multiply per j
-    per step, so the whole sequence costs O(k_hi^2) multiplications.
-    Factorials and Psi values are grown incrementally, never precomputed
-    up to n.
+    Poissonized Noe recursion: with b_j = Psi(j alpha / n), H_j(m) is
+    the probability that a rate-n Poisson process on the Psi scale puts
+    m points in (0, b_j] and at least i of them in (0, b_i] for every
+    i <= j.  H_j comes from H_{j-1} by convolving with the Poisson law
+    of the points in (b_{j-1}, b_j] and dropping m < j.  Every term is
+    nonnegative, so nothing cancels; values that underflow are
+    probabilities below 1e-300.  Given m = j points, the staircase
+    probability is j! U_j / b_j^j, so U_j = H_j(j) e^(n b_j) / n^j.
+    Cost is about cap^3 / 3 multiply-adds and O(cap) memory.
     """
-    with workprec(bits):
-        beta = _beta_mp(setup.marginal)
-        a = mpf(setup.alpha) / setup.n
-        U = [mpf(1)]
-        c = [mpf(0)]
-        P = [None]
-        facts = [mpf(1)]
-        for k in range(1, k_hi + 1):
-            c.append(_cdf_mp(k * a, beta))
-            P.append(c[k])
-            facts.append(facts[-1] * k)
-            for j in range(1, k):
-                P[j] = P[j] * c[j]
-            s = mpf(0)
-            for j in range(1, k + 1):
-                term = P[j] * U[j - 1] / facts[k - j + 1]
-                s = s + term if (k - j) % 2 == 0 else s - term
-            U.append(s)
-        return U
+    n = setup.n
+    b = cdf(np.minimum(np.arange(cap + 2) * setup.alpha / n, 1.0), setup.marginal)
+    lam = n * np.maximum(np.diff(b), 0.0)
+    m = np.arange(cap + 1)
+    log_fact = gammaln(m + 1.0)
+    h = np.zeros(cap + 1)
+    h[0] = 1.0
+    diag = np.ones(cap + 1)
+    for j in range(1, cap + 1):
+        # only m >= j - 1 met threshold j - 1; entries below are dead
+        width = cap + 2 - j
+        pois = np.exp(xlogy(m[:width], lam[j - 1]) - lam[j - 1] - log_fact[:width])
+        h[j - 1:] = np.convolve(h[j - 1:], pois)[:width]
+        diag[j] = h[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_h = np.log(diag)
+        survive = (n - m) * np.log1p(-b[1:])
+    survive[m == n] = 0.0  # no survival factor at k = n, even when b = 1
+    log_u = log_h + n * b[:-1] - m * math.log(n)
+    log_falling = np.concatenate(([0.0], np.cumsum(np.log1p(-m[:-1] / n))))
+    return log_u, log_falling + log_h + n * b[:-1] + survive
 
 
-def u_k(setup: TestingSetup, k: int, prec: PrecisionContext | None = None):
-    """The k-fold staircase integral U_k, adaptively stabilized.
+def u_k(setup: TestingSetup, k: int):
+    """The k-fold staircase integral U_k, U_0 = 1 and U_1 = Psi(alpha/n).
 
-    Returns an extended-precision value carrying the mantissa of the
-    final (accepted) precision level.  U_0 = 1 and U_1 = Psi(alpha/n).
+    Returns an extended-precision value built from the double-precision
+    log, because U_k leaves double range for large k (U_400 is about
+    1e-1598 in the TCGA setup).
     """
     if not 0 <= k <= setup.n:
         raise InputError(f"k must lie in [0, n], got {k}")
-    prec = prec or PrecisionContext()
-    seq, bits = _stabilize(
-        lambda b: _u_sequence(setup, k, b), prec, f"u_k(k={k})"
-    )
-    with workprec(bits):
-        return +seq[k]
+    return mp.exp(_step_down_logs(setup, k)[0][k])
 
 
-def _pmf_core(setup: TestingSetup, bits: int, tail_tol: float, k_cap: int,
-              force_cap: bool):
-    """One full pmf pass at a fixed precision.
-
-    Returns the list of mpf pmf values k = 0..k_stop, where k_stop is the
-    first k at which cumulative mass reaches 1 - tail_tol (or k_cap when
-    ``force_cap`` demands the full range).
-    """
-    n = setup.n
-    with workprec(bits):
-        beta = _beta_mp(setup.marginal)
-        a = mpf(setup.alpha) / n
-        tol = mpf(tail_tol)
-        c = [mpf(0), _cdf_mp(a, beta)]
-        facts = [mpf(1), mpf(1)]
-        U = [mpf(1)]
-        P = [None]
-        pmf = [(1 - c[1]) ** n]
-        cum = pmf[0]
-        ff = mpf(1)
-        k = 0
-        while k < k_cap and (force_cap or cum < 1 - tol):
-            k += 1
-            c.append(_cdf_mp((k + 1) * a, beta))
-            facts.append(facts[-1] * (k + 1))
-            P.append(c[k])
-            for j in range(1, k):
-                P[j] = P[j] * c[j]
-            s = mpf(0)
-            for j in range(1, k + 1):
-                term = P[j] * U[j - 1] / facts[k - j + 1]
-                s = s + term if (k - j) % 2 == 0 else s - term
-            U.append(s)
-            ff = ff * (n - k + 1)
-            pmf.append(ff * s * (1 - c[k + 1]) ** (n - k))
-            cum += pmf[-1]
-        return pmf
+# A double-precision cumulative sum cannot resolve a remaining mass much
+# below K * 2^-53, so smaller tolerances would run the pmf out to k = n.
+_BH_TAIL_TOL_MIN = 1e-12
 
 
-def bh_pmf(setup: TestingSetup, prec: PrecisionContext | None = None,
-           tail_tol: float = 1e-9, k_max: int | None = None) -> CountDistribution:
-    """Exact pmf of the step-down count.
+def bh_pmf(setup: TestingSetup, tail_tol: float = 1e-9,
+           k_max: int | None = None) -> CountDistribution:
+    """Exact pmf of the step-down count, in double precision.
 
     Truncates at the smallest k whose cumulative mass reaches
-    1 - tail_tol (hard cap k <= n), or at an explicit ``k_max``.  The
-    whole computation repeats at doubled precision until successive
-    passes agree per entry to the context's rel_tol.
+    1 - tail_tol (hard cap k <= n), or at an explicit ``k_max``.  Without
+    ``k_max`` the recursion runs to a capacity of 64 counts, doubled
+    until the mass is reached; the cubic cost keeps the recomputed
+    passes below a seventh of the last.
     """
     _check_tail_tol(tail_tol)
-    prec = prec or PrecisionContext()
+    if tail_tol < _BH_TAIL_TOL_MIN:
+        raise InputError(
+            f"tail_tol must be >= {_BH_TAIL_TOL_MIN} for the step-down pmf, "
+            f"got {tail_tol!r}"
+        )
+    n = setup.n
     if k_max is not None:
         if k_max < 0:
             raise InputError(f"k_max must be >= 0, got {k_max}")
-        k_cap, force = min(k_max, setup.n), True
+        pmf = np.exp(_step_down_logs(setup, min(k_max, n))[1])
     else:
-        k_cap, force = setup.n, False
-    pmf_mp, bits = _stabilize(
-        lambda b: _pmf_core(setup, b, tail_tol, k_cap, force),
-        prec,
-        f"bh_pmf(n={setup.n}, alpha={setup.alpha})",
-    )
-    with workprec(bits):
-        tail = 1 - sum(pmf_mp, mpf(0))
+        cap = min(64, n)
+        while True:
+            pmf = np.exp(_step_down_logs(setup, cap)[1])
+            reached = np.flatnonzero(np.cumsum(pmf) >= 1.0 - tail_tol)
+            if reached.size:
+                pmf = pmf[: reached[0] + 1]
+                break
+            if cap == n:
+                break
+            cap = min(2 * cap, n)
     return CountDistribution(
         setup=setup,
-        pmf=np.array([float(x) for x in pmf_mp]),
-        k_max=len(pmf_mp) - 1,
-        tail_mass=max(float(tail), 0.0),
-        precision_bits=bits,
+        pmf=pmf,
+        k_max=len(pmf) - 1,
+        tail_mass=max(float(1.0 - pmf.sum()), 0.0),
+        precision_bits=53,
     )
 
 

@@ -30,8 +30,7 @@ import numpy as np
 from mpmath import mp, mpf, workprec
 
 from .errors import ConstraintError, InputError, NumericError
-from .count_dist import CountDistribution, TestingSetup, bh_pmf
-from .count_dist import _check_tail_tol, _stabilize
+from .count_dist import CountDistribution, TestingSetup, _check_tail_tol, bh_pmf
 from .psi_dist import (
     PrecisionContext,
     ThetaParams,
@@ -117,6 +116,37 @@ def gumbel_diagonal(p_star: float, m: int, gamma: float) -> float:
     if not gamma >= 1.0:
         raise ConstraintError(f"gamma must be >= 1, got {gamma}")
     return math.exp(m ** (1.0 / gamma) * math.log(p_star))
+
+
+def _agree(prev, cur, rel_tol: float) -> bool:
+    if len(prev) != len(cur):
+        return False
+    for a, b in zip(prev, cur):
+        scale = max(abs(a), abs(b))
+        if scale < mpf("1e-320"):
+            continue
+        if abs(a - b) > rel_tol * scale:
+            return False
+    return True
+
+
+def _stabilize(compute, prec: PrecisionContext, what: str):
+    """Run ``compute(bits)`` at doubling precision until two successive
+    results agree entrywise to rel_tol; returns (result, bits).  The
+    copula's alternating sum is the only computation that needs it."""
+    bits = prec.bits
+    prev = compute(bits)
+    while True:
+        bits *= 2
+        if bits > prec.max_bits:
+            raise NumericError(
+                f"{what} failed to stabilize to rel_tol={prec.rel_tol} "
+                f"within {prec.max_bits} bits (last level {bits // 2})"
+            )
+        cur = compute(bits)
+        if _agree(prev, cur, prec.rel_tol):
+            return cur, bits
+        prev = cur
 
 
 def _copula_tail_probs(n: int, p_star_log, gamma: float, bits: int,
@@ -215,16 +245,15 @@ def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
 
 
 def latent_bh_pmf(setup: TestingSetup, eps,
-                  prec: PrecisionContext | None = None,
                   tail_tol: float = 1e-9) -> CountDistribution:
     """Step-down count pmf under the latent fair-coin model: the
     equal-weight mixture of the two conditional (independent) pmfs.
     With eps all zero both are the same pmf, computed once."""
     _check_tail_tol(tail_tol)
     minus, plus = perturbed_pair(setup.marginal, eps)
-    dist_m = bh_pmf(TestingSetup(setup.n, setup.alpha, minus), prec, tail_tol)
+    dist_m = bh_pmf(TestingSetup(setup.n, setup.alpha, minus), tail_tol)
     dist_p = dist_m if plus == minus else bh_pmf(
-        TestingSetup(setup.n, setup.alpha, plus), prec, tail_tol)
+        TestingSetup(setup.n, setup.alpha, plus), tail_tol)
     k_max = max(dist_m.k_max, dist_p.k_max)
     pmf = np.zeros(k_max + 1)
     pmf[: dist_m.k_max + 1] += 0.5 * dist_m.pmf

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConstraintError, InputError
-from .psi_dist import PrecisionContext, ThetaParams, validate_theta
+from .psi_dist import ThetaParams, validate_theta
 from .count_dist import TestingSetup, _check_tail_tol
 from .dependence import latent_bh_pmf, latent_pvalue_correlation
 
@@ -74,9 +74,7 @@ def scale_theta(pilot_theta: ThetaParams, n_subjects: int,
 
 
 def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
-                n_values, z_values,
-                prec: PrecisionContext | None = None,
-                tail_tol: float = 1e-9) -> PowerGrid:
+                n_values, z_values, tail_tol: float = 1e-9) -> PowerGrid:
     """Evaluate the (N, z) grid.
 
     ``pilot`` may be a fit result (its theta_hat is used) or a parameter
@@ -101,7 +99,7 @@ def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
         for z in z_values:
             eps = tuple(z * c for c in scaled.coeffs)
             try:
-                dist = latent_bh_pmf(setup, eps, prec, tail_tol)
+                dist = latent_bh_pmf(setup, eps, tail_tol)
                 corr = latent_pvalue_correlation(scaled, eps)
             except ConstraintError as exc:
                 raise ConstraintError(

@@ -108,7 +108,6 @@ def test_bh_dist_fitted_summary_matches_library(runner):
     assert doc["result"]["normal_mu"] == pytest.approx(approx.mu, rel=1e-15)
     assert doc["result"]["normal_sigma"] == pytest.approx(approx.sigma,
                                                           rel=1e-15)
-    assert doc["config"]["precision_bits"] == 256
 
 
 def test_json_and_csv_carry_identical_numbers(runner):
@@ -230,6 +229,14 @@ def test_tail_tol_outside_unit_interval_is_bad_input(runner, args):
                                          "--tail-tol", bad])
         assert result.exit_code == 2
         assert "tail_tol must lie in (0, 1)" in result.output
+
+
+def test_bh_dist_tail_tol_below_double_floor_is_bad_input(runner):
+    # double precision cannot resolve a step-down tail below 1e-12
+    result = _invoke(runner, ["bh-dist", "--uniform", "--n", "50",
+                              "--alpha", "0.05", "--tail-tol", "1e-13"])
+    assert result.exit_code == 2
+    assert "tail_tol must be >= 1e-12" in result.output
 
 
 def test_dependent_length_mismatch(runner):

@@ -1,10 +1,11 @@
 """Discovery-count distributions: counting rules, the staircase-integral
-recursion, closed forms, limits, and the adaptive-precision machinery.
+recursion, closed forms and limits.
 
-Oracles: a naive loop for the counting rules; nested scipy quadrature
-for the staircase integrals; the uniform-null closed form; scipy.stats
-for the Bonferroni binomial/Poisson; the factorial identity behind the
-alternating recursion checked in extended precision.
+Oracles: a naive loop for the counting rules; exact piecewise-polynomial
+integration for the staircase integrals; the uniform-null closed form;
+scipy.stats for the Bonferroni binomial/Poisson; and the alternating
+staircase recursion run in extended precision until two passes agree,
+with the factorial identity behind it checked separately.
 """
 import math
 
@@ -14,7 +15,7 @@ from hypothesis import example, given, strategies as st
 from mpmath import binomial as mp_binomial, mpf, workprec
 from scipy import stats
 
-from conftest import THETA_BC3
+from conftest import THETA_BC3, THETA_HUANG
 from fdrdist import (
     CountDistribution,
     InputError,
@@ -28,6 +29,7 @@ from fdrdist import (
     bh_pmf_uniform_exact,
     bonferroni_count,
     bonferroni_pmf,
+    bonferroni_pmf_copula,
     bonferroni_poisson,
     borel_limit_param,
     borel_tanner_mean,
@@ -35,8 +37,11 @@ from fdrdist import (
     borel_tanner_var,
     cdf,
     normal_approx,
+    random_theta,
+    scale_theta,
     u_k,
 )
+from fdrdist.psi_dist import _beta_mp, _cdf_mp
 
 
 def _naive_step_down(pvalues, alpha):
@@ -183,8 +188,8 @@ def test_u_k_uniform_closed_form():
 
 
 def test_factorial_identity_behind_recursion():
-    # sum_i (-1)^i C(k,i) (x-i)^k = k! for every real x; the recursion's
-    # telescoping rests on it
+    # sum_i (-1)^i C(k,i) (x-i)^k = k! for every real x; the telescoping
+    # of the alternating oracle recursion below rests on it
     rng = np.random.default_rng(7)
     with workprec(300):
         for k in range(0, 9):
@@ -233,7 +238,7 @@ def test_bh_pmf_breast_cancer_regression():
     assert dist.prob(0) == pytest.approx(0.100642, rel=1e-4)
     assert dist.tail_mass <= 1e-9
     assert dist.k_max >= 120
-    assert dist.precision_bits >= 256
+    assert dist.precision_bits == 53
     assert dist.mean_error_bound() <= 1e-9 * 3226
 
 
@@ -256,19 +261,119 @@ def test_bh_pmf_looser_tail_tol_stops_earlier():
     assert loose.tail_mass <= 1e-4
 
 
-@pytest.mark.parametrize("tail_tol", [0.0, 1.0, 1.5, -1e-9, math.nan])
+@pytest.mark.parametrize("tail_tol", [0.0, 1.0, 1.5, -1e-9, math.nan, 1e-13])
 @pytest.mark.parametrize("pmf", [bh_pmf, bonferroni_pmf, bonferroni_poisson])
 def test_pmfs_reject_tail_tol_outside_unit_interval(pmf, tail_tol):
     # 0 would run the recursion to k = n; 1 or more, or NaN, would
-    # silently return a one-entry pmf
+    # silently return a one-entry pmf.  Below 1e-12 a double-precision
+    # cumulative sum cannot tell the step-down mass apart from 1; the
+    # closed-form Bonferroni laws still take any tolerance in (0, 1).
+    setup = TestingSetup(400, 0.05, THETA_BC3)
+    if tail_tol == 1e-13 and pmf is not bh_pmf:
+        assert pmf(setup, tail_tol=tail_tol).tail_mass <= tail_tol
+        return
     with pytest.raises(InputError, match="tail_tol"):
-        pmf(TestingSetup(400, 0.05, THETA_BC3), tail_tol=tail_tol)
+        pmf(setup, tail_tol=tail_tol)
 
 
 def test_bh_pmf_rejects_unreachable_precision():
+    # the copula's alternating sum is the one computation left on the
+    # bit-doubling ladder; a ladder capped at its first level must raise
     prec = PrecisionContext(bits=64, max_bits=64)
     with pytest.raises(NumericError, match="stabilize"):
-        bh_pmf(TestingSetup(3226, 0.05, THETA_BC3), prec=prec)
+        bonferroni_pmf_copula(TestingSetup(3226, 0.05, THETA_BC3), 1.05,
+                              prec=prec)
+
+
+# ------------------------------------- double precision against mpmath
+
+def _alternating_pmf(setup, bits, tail_tol):
+    """Step-down pmf from the alternating recursion at a fixed precision:
+    with c_j = Psi(j alpha/n),
+
+        U_k = sum_{j=1..k} (-1)^(k-j) c_j^(k-j+1) U_{j-1} / (k-j+1)!
+
+    and Pr[K=k] = n!/(n-k)! U_k (1 - c_{k+1})^(n-k), up to the first k
+    whose cumulative mass reaches 1 - tail_tol.  Its terms cancel, so
+    it needs far more than double precision.
+    """
+    n = setup.n
+    with workprec(bits):
+        beta = _beta_mp(setup.marginal)
+        a = mpf(setup.alpha) / n
+        c = [mpf(0), _cdf_mp(a, beta)]
+        facts = [mpf(1), mpf(1)]
+        U = [mpf(1)]
+        P = [None]  # P[j] = c_j^(k-j+1), advanced one power per k
+        pmf = [(1 - c[1]) ** n]
+        cum = pmf[0]
+        ff = mpf(1)
+        k = 0
+        while k < n and cum < 1 - mpf(tail_tol):
+            k += 1
+            c.append(_cdf_mp((k + 1) * a, beta))
+            facts.append(facts[-1] * (k + 1))
+            P.append(c[k])
+            for j in range(1, k):
+                P[j] = P[j] * c[j]
+            s = mpf(0)
+            for j in range(1, k + 1):
+                term = P[j] * U[j - 1] / facts[k - j + 1]
+                s = s + term if (k - j) % 2 == 0 else s - term
+            U.append(s)
+            ff = ff * (n - k + 1)
+            pmf.append(ff * s * (1 - c[k + 1]) ** (n - k))
+            cum += pmf[-1]
+        return pmf
+
+
+def _oracle_pmf(setup, tail_tol=1e-9):
+    """The alternating recursion from 256 bits, doubled until two
+    successive passes have the same length and agree per entry to 1e-13."""
+    bits = 256
+    prev = _alternating_pmf(setup, bits, tail_tol)
+    while True:
+        bits *= 2
+        assert bits <= 8192, "oracle did not settle"
+        cur = _alternating_pmf(setup, bits, tail_tol)
+        if len(cur) == len(prev) and all(
+                abs(x - y) <= mpf("1e-13") * max(abs(x), abs(y))
+                for x, y in zip(prev, cur)):
+            return np.array([float(x) for x in cur])
+        prev = cur
+
+
+def _assert_matches_oracle(setup):
+    dist = bh_pmf(setup)
+    ref = _oracle_pmf(setup)
+    assert dist.k_max == ref.size - 1
+    big = ref > 1e-300
+    rel = np.abs(dist.pmf[big] - ref[big]) / ref[big]
+    assert rel.max() <= 1e-10
+    assert np.all(dist.pmf[~big] <= 1e-290)
+
+
+def test_bh_pmf_matches_alternating_oracle_breast_cancer():
+    _assert_matches_oracle(TestingSetup(3226, 0.05, THETA_BC3))
+
+
+def test_bh_pmf_matches_alternating_oracle_strong_pilot_branch():
+    # the plus branch of the pilot grid's strongest cell (N = 600,
+    # z = 0.8), at a smaller number of tests
+    scaled = scale_theta(THETA_HUANG, 600, 78)
+    strong = ThetaParams(3, tuple(1.8 * c for c in scaled.coeffs))
+    _assert_matches_oracle(TestingSetup(5000, 0.05, strong))
+
+
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=200),
+    st.floats(min_value=0.005, max_value=0.6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bh_pmf_matches_alternating_oracle_random_theta(order, n, alpha, seed):
+    theta = random_theta(order, np.random.default_rng(seed))
+    _assert_matches_oracle(TestingSetup(n, alpha, theta))
 
 
 def test_setup_validation():
