@@ -63,7 +63,6 @@ from .simulate import (
     empirical_count_distribution,
     positive_stable,
     sample_pvalues,
-    sample_pvalues_gamma_mixture,
 )
 
 __version__ = "1.0.0"
@@ -122,7 +121,6 @@ __all__ = [
     "random_theta",
     "require_valid",
     "sample_pvalues",
-    "sample_pvalues_gamma_mixture",
     "scale_theta",
     "select_order",
     "u_k",

@@ -390,14 +390,16 @@ def _cdf_mp(p, beta_mp: list, bits: int | None = None):
 
 
 _QUANTILE_X_MAX = 745.0  # -log of the smallest positive double
+_QUANTILE_SLICE = 1 << 16  # values per block: the working set stays in cache
+_QUANTILE_NEWTON = 12      # Newton steps before an entry falls back to halving
+_QUANTILE_HALVINGS = 53    # 745 / 2^53 < 1e-13
 
 
 def quantile(q: float, theta: ThetaParams, tol: float = 1e-12) -> float:
-    """Inverse CDF by bracketed bisection in x = -log p with a Newton polish.
+    """Inverse CDF of one probability, through :func:`_quantile_array`.
 
-    The CDF is strictly increasing and concave, so bisection cannot miss
-    the root; Newton is used only after the bracket is tight, where it
-    cannot overshoot the domain.  Guarantees |cdf(result) - q| <= tol.
+    Returns 0 at q = 0, 1 at q = 1 and q itself for the uniform member.
+    Guarantees |cdf(result) - q| <= tol, else raises NumericError.
     """
     if not 0.0 <= q <= 1.0:
         raise InputError(f"quantile argument must lie in [0, 1], got {q}")
@@ -407,32 +409,7 @@ def quantile(q: float, theta: ThetaParams, tol: float = 1e-12) -> float:
         return 1.0
     if all(c == 0.0 for c in theta.coeffs):
         return q
-    beta = _beta_poly(theta)
-
-    def cdf_x(x: float) -> float:
-        return math.exp(-x) * _horner(beta, x)
-
-    lo, hi = 0.0, _QUANTILE_X_MAX
-    if cdf_x(hi) > q:
-        # q below anything representable in double; smallest positive p wins
-        return math.exp(-hi)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if cdf_x(mid) > q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, lo):
-            break
-    p = math.exp(-0.5 * (lo + hi))
-    poly = _theta_poly(theta)
-    for _ in range(3):
-        err = cdf(p, theta) - q
-        if abs(err) <= tol:
-            return p
-        slope = _horner(poly, -math.log(p))
-        step = err / slope
-        p = min(max(p - step, math.exp(-hi)), math.exp(-lo))
+    p = float(_quantile_array(np.array([q]), theta)[0])
     if abs(cdf(p, theta) - q) > tol:
         raise NumericError(
             f"quantile failed to reach |cdf - q| <= {tol} at q = {q}: "
@@ -441,38 +418,72 @@ def quantile(q: float, theta: ThetaParams, tol: float = 1e-12) -> float:
     return p
 
 
-def _quantile_array(u: np.ndarray, theta: ThetaParams, iters: int = 48) -> np.ndarray:
-    """Vectorized inverse CDF for samplers: bisection in x = -log p.
+def _quantile_array(u: np.ndarray, theta: ThetaParams) -> np.ndarray:
+    """Vectorized inverse CDF: Newton in x = -log p, bracket halving as
+    the fallback.  Returns a new array of u's shape.
 
-    48 halvings of [0, 745] pin x to ~3e-12 absolute, which bounds the
-    relative error of p at the same level, well below Monte Carlo
-    resolution.  All loop arithmetic is in place: this routine dominates
-    simulation cost once the marginal is nonuniform.
+    Solves G(x) = log B(x) - x - log u = 0, B the CDF polynomial
+    (Psi = e^-x B).  G falls with slope -T/B, T the density polynomial,
+    so the Newton step is x += G B / T, from x0 = -log u, a lower bound
+    because B >= 1.  An entry stops once its step is within 1e-13 of
+    max(1, x).  Entries still moving after a fixed number of steps (Newton
+    slows where the density vanishes, near p = 1 when theta_0 is near 0)
+    or stopped outside [0, 745] halve the bracket [x0, 745] instead.
+    u = 0 maps to exp(-745), the smallest positive double.  The input is
+    processed in fixed slices, so the temporaries do not grow with it.
     """
     if all(c == 0.0 for c in theta.coeffs):
         return u.copy()
     beta = _beta_poly(theta)
-    lo = np.zeros_like(u)
-    mid = np.empty_like(u)
-    val = np.empty_like(u)
-    mask = np.empty(u.shape, dtype=bool)
-    width = _QUANTILE_X_MAX
-    for _ in range(iters):
-        width *= 0.5
-        np.add(lo, width, out=mid)
-        # val <- exp(-mid) * sum_j beta_j mid^j, evaluated without temporaries
-        val.fill(beta[-1])
-        for c in beta[-2::-1]:
-            val *= mid
-            val += c
-        np.exp(np.negative(mid, out=mid), out=mid)
-        val *= mid
-        np.greater(val, u, out=mask)
-        # cdf(mid) > u means the root lies right of mid: advance lo
-        np.multiply(mask, width, out=val)
-        lo += val
-    np.add(lo, 0.5 * width, out=lo)
-    return np.exp(np.negative(lo, out=lo), out=lo)
+    poly = _theta_poly(theta)
+    flat = u.reshape(-1)
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, _QUANTILE_SLICE):
+        hi = lo + _QUANTILE_SLICE
+        out[lo:hi] = _solve_x(flat[lo:hi], beta, poly)
+    return np.exp(np.negative(out, out=out), out=out).reshape(u.shape)
+
+
+def _log_b(x: np.ndarray, beta: np.ndarray):
+    """(log B(x), B(x)), through log1p of B - 1 for accuracy near x = 0."""
+    bx = _horner(beta[1:], x)
+    bx *= x
+    return np.log1p(bx), bx + 1.0
+
+
+def _solve_x(u: np.ndarray, beta: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """x = -log p for one slice of :func:`_quantile_array`."""
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)
+    x0 = np.minimum(-log_u, _QUANTILE_X_MAX)
+    out, x, lu, idx = x0.copy(), x0.copy(), log_u, np.arange(x0.size)
+    stopped = np.zeros(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_QUANTILE_NEWTON):
+            log_b, b = _log_b(x, beta)
+            g = log_b - x - lu
+            step = g * b / _horner(poly, x)
+            np.copyto(step, 0.0, where=stopped | (g == 0.0))
+            x += step
+            stopped |= np.abs(step) <= 1e-13 * np.maximum(x, 1.0)
+            if 2 * np.count_nonzero(stopped) >= x.size:
+                # compact the working set once half of it has stopped
+                out[idx] = x
+                k = np.flatnonzero(~stopped)
+                x, lu, idx, stopped = x[k], lu[k], idx[k], stopped[k]
+                if not k.size:
+                    break
+        out[idx] = x
+        k = np.union1d(idx[~stopped],
+                       np.flatnonzero(~((out >= 0.0) & (out <= _QUANTILE_X_MAX))))
+        lo, hi, lu = x0[k], np.full(k.size, _QUANTILE_X_MAX), log_u[k]
+        for _ in range(_QUANTILE_HALVINGS if k.size else 0):
+            mid = 0.5 * (lo + hi)
+            right = _log_b(mid, beta)[0] - mid > lu
+            np.copyto(lo, mid, where=right)
+            np.copyto(hi, mid, where=~right)
+        out[k] = 0.5 * (lo + hi)
+    return out
 
 
 def moment(j: int, theta: ThetaParams) -> float:

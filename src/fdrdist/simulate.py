@@ -6,9 +6,12 @@ the counting rules are applied per replicate, and normalized histograms
 with binomial standard errors come back as empirical distributions.
 
 Reproducibility contract: replicate r of a run with seed s consumes only
-the counter-based substream keyed by (s, r), so results are bit-identical
-regardless of chunking or evaluation order.  Draw order within a
-replicate is fixed and documented on each sampler.
+the counter-based substream keyed by (s, r), the stream of
+``Generator(Philox(key=(s << 64) | r))``, so results are bit-identical
+regardless of chunking or evaluation order.  A run keeps one Philox and
+re-keys it per replicate (counter 0, empty buffer), which draws the same
+stream as building a new generator at a fraction of the cost.  Draw order
+within a replicate is fixed and documented on :func:`sample_pvalues`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "SimConfig",
     "EmpiricalCountDistribution",
     "sample_pvalues",
-    "sample_pvalues_gamma_mixture",
     "positive_stable",
     "empirical_count_distribution",
 ]
@@ -69,11 +71,6 @@ class SimConfig:
             perturbed_pair(self.marginal, dep.eps)  # raises if either side is invalid
 
 
-def _rng_for(seed: int, replicate: int) -> np.random.Generator:
-    # (seed, replicate) packed into the 128-bit Philox key
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | replicate))
-
-
 def _chunk_rows(n_tests: int, replicates: int) -> int:
     return max(1, min(replicates, 4_000_000 // n_tests))
 
@@ -81,21 +78,28 @@ def _chunk_rows(n_tests: int, replicates: int) -> int:
 def positive_stable(gamma: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Positive-stable frailties S with Laplace transform exp(-t^(1/gamma)).
 
-    Exact Kanter construction: with a = 1/gamma, W uniform on (0, pi) and
-    E standard exponential,
-
-        S = sin(a W) * sin((1-a) W)^((1-a)/a) / sin(W)^(1/a) * E^(-(1-a)/a),
-
-    evaluated in log space.  gamma = 1 degenerates to S = 1 (independence);
-    the two driving variates are still consumed so the substream layout
-    does not depend on gamma.
+    Draws ``size`` uniforms W on (0, pi), then ``size`` standard
+    exponentials E, and returns :func:`_kanter` of them.  gamma = 1
+    degenerates to S = 1 (independence); the two driving variates are
+    still consumed so the substream layout does not depend on gamma.
     """
     if not gamma >= 1.0:
         raise InputError(f"gamma must be >= 1, got {gamma}")
     w = rng.uniform(0.0, math.pi, size)
     e = rng.exponential(1.0, size)
+    return _kanter(gamma, w, e)
+
+
+def _kanter(gamma: float, w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Exact Kanter construction of positive-stable variates: with
+    a = 1/gamma, W uniform on (0, pi) and E standard exponential,
+
+        S = sin(a W) * sin((1-a) W)^((1-a)/a) / sin(W)^(1/a) * E^(-(1-a)/a),
+
+    evaluated in log space; S = 1 at gamma = 1.
+    """
     if gamma == 1.0:
-        return np.ones(size)
+        return np.ones(w.shape)
     a = 1.0 / gamma
     r = (1.0 - a) / a
     log_s = (np.log(np.sin(a * w))
@@ -119,8 +123,9 @@ def sample_pvalues(config: SimConfig) -> np.ndarray:
     * Independent: n_tests uniforms, then the marginal quantile transform.
     * Latent: one uniform for the fair coin (< 0.5 selects theta - eps),
       then n_tests uniforms transformed by the selected parameters.
-    * GumbelCopula: the two frailty variates, then n_tests exponentials;
-      U_i = exp(-(E_i / S)^(1/gamma)) before the marginal transform.
+    * GumbelCopula: the two frailty variates of ``positive_stable(gamma,
+      rng, 1)``, then n_tests exponentials; U_i = exp(-(E_i / S)^(1/gamma))
+      before the marginal transform.
     """
     out = np.empty((config.replicates, config.n_tests))
     for lo, hi, chunk in _iter_pvalue_chunks(config):
@@ -136,67 +141,48 @@ def _iter_pvalue_chunks(config: SimConfig):
     rows = _chunk_rows(n, reps)
     if isinstance(dep, Latent):
         minus, plus = perturbed_pair(config.marginal, dep.eps)
+    bg = np.random.Philox(key=0)
+    rng = np.random.Generator(bg)
+    state = bg.state  # counter 0, empty buffer, has_uint32 0
+    key = state["state"]["key"]  # little-endian words of (seed << 64) | r
+    key[1] = config.seed
+
+    def substream(r: int) -> np.random.Generator:
+        key[0] = r
+        bg.state = state
+        return rng
+
     for lo in range(0, reps, rows):
         hi = min(lo + rows, reps)
-        m = hi - lo
+        x = np.empty((hi - lo, n))
         if isinstance(dep, Independent):
-            u = np.empty((m, n))
-            for r in range(lo, hi):
-                u[r - lo] = _rng_for(config.seed, r).uniform(size=n)
-            yield lo, hi, _transform_uniform_chunk(u, config.marginal)
+            for i in range(hi - lo):
+                substream(lo + i).random(out=x[i])
+            yield lo, hi, _transform_uniform_chunk(x, config.marginal)
         elif isinstance(dep, Latent):
-            u = np.empty((m, n))
-            coin = np.empty(m, dtype=bool)
-            for r in range(lo, hi):
-                rng = _rng_for(config.seed, r)
-                coin[r - lo] = rng.uniform() < 0.5
-                u[r - lo] = rng.uniform(size=n)
-            p = np.empty_like(u)
+            coin = np.empty(hi - lo, dtype=bool)
+            for i in range(hi - lo):
+                sub = substream(lo + i)
+                coin[i] = sub.random() < 0.5
+                sub.random(out=x[i])
+            p = np.empty_like(x)
             if coin.any():
-                p[coin] = _transform_uniform_chunk(u[coin], minus)
+                p[coin] = _transform_uniform_chunk(x[coin], minus)
             if (~coin).any():
-                p[~coin] = _transform_uniform_chunk(u[~coin], plus)
+                p[~coin] = _transform_uniform_chunk(x[~coin], plus)
             yield lo, hi, p
         else:
-            e = np.empty((m, n))
-            s = np.empty(m)
-            for r in range(lo, hi):
-                rng = _rng_for(config.seed, r)
-                s[r - lo] = positive_stable(dep.gamma, rng, 1)[0]
-                e[r - lo] = rng.exponential(1.0, size=n)
-            u = np.exp(-((e / s[:, None]) ** (1.0 / dep.gamma)))
-            yield lo, hi, _transform_uniform_chunk(u, config.marginal)
-
-
-def sample_pvalues_gamma_mixture(config: SimConfig) -> np.ndarray:
-    """Independent-model sampler that never touches the quantile solver.
-
-    The density is a mixture over i = 0..I of laws whose -log p is
-    Gamma(i + 1): draw the component with weights (theta_0, 1! theta_1,
-    ..., I! theta_I), then multiply i + 1 uniforms.  Serves as an
-    independent cross-check of the inverse-CDF path.  Draw order per
-    replicate: n_tests component indices, then n_tests * (I + 1) uniforms.
-    """
-    if not isinstance(config.dependence, Independent):
-        raise InputError(
-            "the mixture sampler covers only the independent model; got "
-            f"{config.dependence!r}"
-        )
-    theta = config.marginal
-    weights = np.array(
-        [theta.theta0]
-        + [math.factorial(i) * c for i, c in enumerate(theta.coeffs, start=1)]
-    )
-    n, reps = config.n_tests, config.replicates
-    out = np.empty((reps, n))
-    for r in range(reps):
-        rng = _rng_for(config.seed, r)
-        comp = rng.choice(len(weights), size=n, p=weights)
-        u = rng.uniform(size=(n, theta.order + 1))
-        # product of the first comp+1 uniforms per test
-        mask = np.arange(theta.order + 1)[None, :] <= comp[:, None]
-        out[r] = np.where(mask, u, 1.0).prod(axis=1)
-    return out
+            w = np.empty(hi - lo)
+            e = np.empty(hi - lo)
+            for i in range(hi - lo):
+                sub = substream(lo + i)
+                w[i] = sub.uniform(0.0, math.pi)
+                e[i] = sub.exponential()
+                sub.standard_exponential(out=x[i])
+            x /= _kanter(dep.gamma, w, e)[:, None]
+            x **= 1.0 / dep.gamma
+            np.exp(np.negative(x, out=x), out=x)
+            yield lo, hi, _transform_uniform_chunk(x, config.marginal)
 
 
 @dataclass(frozen=True)

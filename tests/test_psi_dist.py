@@ -1,10 +1,13 @@
 """Log-polynomial p-value family: densities, CDFs, quantiles, moments.
 
 Oracles: scipy quadrature in x = -log p space for normalization, CDF,
-and moments; hand-computed beta coefficients for the coefficient maps.
+and moments; hand-computed beta coefficients for the coefficient maps;
+a 48-step bisection (the package's former sampler transform) and an
+mpmath root for the inverse CDF.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -31,7 +34,7 @@ from fdrdist import (
     theta_to_beta,
     validate_theta,
 )
-from fdrdist.psi_dist import _cdf_mp, _beta_mp, _quantile_array
+from fdrdist.psi_dist import _beta_mp, _beta_poly, _cdf_mp, _quantile_array
 
 
 def _valid_thetas():
@@ -268,6 +271,86 @@ def test_quantile_array_uniform_passthrough():
     out = _quantile_array(u, ThetaParams.uniform())
     np.testing.assert_array_equal(out, u)
     assert out is not u
+
+
+def _bisect_quantile(u, theta, iters=48):
+    """Inverse CDF by 48 halvings of x = -log p on [0, 745]: x to within
+    745 / 2^49 = 1.3e-12, so p to that relative error, wherever the CDF
+    comparison itself is well conditioned."""
+    if all(c == 0.0 for c in theta.coeffs):
+        return u.copy()
+    beta = _beta_poly(theta)
+    lo = np.zeros_like(u)
+    width = 745.0
+    for _ in range(iters):
+        width *= 0.5
+        mid = lo + width
+        val = np.full_like(u, beta[-1])
+        for c in beta[-2::-1]:
+            val = val * mid + c
+        lo += np.where(np.exp(-mid) * val > u, width, 0.0)
+    return np.exp(-(lo + 0.5 * width))
+
+
+def _mp_quantile(u, theta):
+    """Root of e^-x B(x) = u by bisection at 200 bits."""
+    with mpmath.workprec(200):
+        beta = _beta_mp(theta)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(745)
+        for _ in range(300):
+            mid = (lo + hi) / 2
+            if _cdf_mp(mpmath.exp(-mid), beta) > u:
+                lo = mid
+            else:
+                hi = mid
+        return float(mpmath.exp(-lo))
+
+
+EDGE_U = np.array([0.0, 5e-324, 1e-300, 1e-17, 0.5, 1.0 - 2.0**-53, 1.0])
+EDGE_THETAS = {
+    "breast": THETA_BC3,
+    "tcga": THETA_TCGA,
+    "theta0-zero": ThetaParams(2, (0.2, 0.4)),
+    "theta1-near-one": ThetaParams(1, (0.999,)),
+    "half": ThetaParams(1, (0.5,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_THETAS))
+def test_quantile_array_edges_match_bisection(name):
+    theta = EDGE_THETAS[name]
+    got = _quantile_array(EDGE_U, theta)
+    want = _bisect_quantile(EDGE_U, theta)
+    if name == "theta0-zero":
+        # psi(1) = theta_0 = 0, so near u = 1 the root moves by ~1e-8 per
+        # rounding of the CDF: the bisection's double-precision comparison
+        # is 8.6e-9 off there, and that point is checked at 200 bits
+        top = EDGE_U == 1.0 - 2.0**-53
+        assert got[top][0] == pytest.approx(_mp_quantile(EDGE_U[top][0], theta),
+                                             rel=1e-11)
+        got, want = got[~top], want[~top]
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+    # u = 0 maps to the smallest positive double, as the bisection does
+    assert got[0] == math.ulp(0.0)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+def test_quantile_array_matches_bisection_random_theta(order, seed):
+    rng = np.random.default_rng(seed)
+    theta = random_theta(order, rng)
+    u = np.concatenate([rng.uniform(size=64), [0.0, 5e-324, 1e-300, 1e-17, 0.5, 1.0]])
+    np.testing.assert_allclose(_quantile_array(u, theta), _bisect_quantile(u, theta),
+                               rtol=1e-11, atol=0.0)
+
+
+def test_quantile_array_keeps_shape():
+    u = np.random.default_rng(9).uniform(size=(70, 1000))
+    u[0, :4] = (0.0, 1.0, 5e-324, 1.0 - 2.0**-53)
+    out = _quantile_array(u, ThetaParams(2, (0.2, 0.4)))
+    assert out.shape == u.shape
+    assert not np.isnan(out).any()
+    np.testing.assert_array_equal(out.ravel(),
+                                  _quantile_array(u.ravel(), ThetaParams(2, (0.2, 0.4))))
 
 
 # ------------------------------------------------------------------ moments

@@ -2,8 +2,10 @@
 structure, and empirical-vs-analytic agreement.
 
 Oracles: the analytic moments and CDFs of the p-value family, the
-Laplace transform of the positive-stable frailty, scipy's KS test, and
-the exact count pmfs from the analytic modules.
+Laplace transform of the positive-stable frailty, scipy's KS test, the
+exact count pmfs from the analytic modules, a gamma-mixture sampler that
+never inverts the CDF, and per-replicate Philox generators built from
+the documented key.
 """
 import math
 
@@ -31,10 +33,15 @@ from fdrdist import (
     moment,
     positive_stable,
     sample_pvalues,
-    sample_pvalues_gamma_mixture,
 )
+from fdrdist import simulate
 
 HALF_SIG = tuple(0.5 * s for s in SIG_BC3)
+MODELS = [Independent(), GumbelCopula(1.7), Latent(HALF_SIG)]
+
+
+def _substream(seed, r):
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | r))
 
 
 def _config(**kw):
@@ -67,7 +74,7 @@ def test_config_validation():
 
 # ---------------------------------------------------------- reproducibility
 
-@pytest.mark.parametrize("dep", [Independent(), GumbelCopula(1.7), Latent(HALF_SIG)])
+@pytest.mark.parametrize("dep", MODELS)
 def test_bit_identical_across_runs(dep):
     cfg = _config(marginal=THETA_BC3, dependence=dep, replicates=20)
     a = sample_pvalues(cfg)
@@ -78,9 +85,38 @@ def test_bit_identical_across_runs(dep):
 
 def test_replicate_substreams_are_stable():
     # row r depends only on (seed, r): a longer run extends, never reshuffles
-    short = sample_pvalues(_config(marginal=THETA_BC3, replicates=3))
-    long = sample_pvalues(_config(marginal=THETA_BC3, replicates=11))
-    np.testing.assert_array_equal(short, long[:3])
+    for dep in MODELS:
+        short = sample_pvalues(_config(marginal=THETA_BC3, dependence=dep, replicates=3))
+        long = sample_pvalues(_config(marginal=THETA_BC3, dependence=dep, replicates=11))
+        np.testing.assert_array_equal(short, long[:3])
+
+
+@pytest.mark.parametrize("dep", MODELS)
+def test_bit_identical_regardless_of_chunking(dep, monkeypatch):
+    cfg = _config(marginal=THETA_BC3, dependence=dep, replicates=10)
+    whole = sample_pvalues(cfg)
+    for rows in (1, 3):
+        monkeypatch.setattr(simulate, "_chunk_rows", lambda n, reps, rows=rows: rows)
+        np.testing.assert_array_equal(sample_pvalues(cfg), whole)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+def test_uniform_rows_are_the_documented_substreams(seed):
+    got = sample_pvalues(_config(seed=seed, replicates=4))
+    for r in range(4):
+        np.testing.assert_array_equal(got[r], _substream(seed, r).uniform(size=100))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.7])
+def test_copula_rows_use_positive_stable_frailties(gamma):
+    # per-chunk frailties equal positive_stable(gamma, rng, 1) per replicate
+    cfg = _config(seed=2**63 + 5, replicates=5, dependence=GumbelCopula(gamma))
+    got = sample_pvalues(cfg)
+    for r in range(5):
+        rng = _substream(cfg.seed, r)
+        s = positive_stable(gamma, rng, 1)[0]
+        e = rng.exponential(1.0, size=100)
+        np.testing.assert_array_equal(got[r], np.exp(-((e / s) ** (1.0 / gamma))))
 
 
 def test_seed_changes_output():
@@ -194,9 +230,33 @@ def test_latent_rows_use_one_coin_per_replicate():
 
 # --------------------------------------------------------- gamma mixture
 
+def _gamma_mixture_sampler(config):
+    """Independent-model sampler that never touches the quantile solver.
+
+    The density is a mixture over i = 0..I of laws whose -log p is
+    Gamma(i + 1): draw the component with weights (theta_0, 1! theta_1,
+    ..., I! theta_I), then multiply i + 1 uniforms.
+    """
+    theta = config.marginal
+    weights = np.array(
+        [theta.theta0]
+        + [math.factorial(i) * c for i, c in enumerate(theta.coeffs, start=1)]
+    )
+    n = config.n_tests
+    out = np.empty((config.replicates, n))
+    for r in range(config.replicates):
+        rng = _substream(config.seed, r)
+        comp = rng.choice(len(weights), size=n, p=weights)
+        u = rng.uniform(size=(n, theta.order + 1))
+        # product of the first comp+1 uniforms per test
+        mask = np.arange(theta.order + 1)[None, :] <= comp[:, None]
+        out[r] = np.where(mask, u, 1.0).prod(axis=1)
+    return out
+
+
 def test_gamma_mixture_sampler_agrees_with_inverse_cdf():
     cfg = _config(n_tests=200, replicates=500, marginal=THETA_BC3, seed=29)
-    a = sample_pvalues_gamma_mixture(cfg)
+    a = _gamma_mixture_sampler(cfg)
     assert a.shape == (500, 200)
     m1 = moment(1, THETA_BC3)
     m2 = moment(2, THETA_BC3)
@@ -210,12 +270,6 @@ def test_gamma_mixture_sampler_agrees_with_inverse_cdf():
     b = sample_pvalues(cfg)
     stat, pval = stats.ks_2samp(a.ravel(), b.ravel())
     assert pval > 0.01
-
-
-def test_gamma_mixture_rejects_dependence():
-    cfg = _config(marginal=THETA_BC3, dependence=Latent((0.0, 0.0, 0.001)))
-    with pytest.raises(InputError):
-        sample_pvalues_gamma_mixture(cfg)
 
 
 # ------------------------------------------------- empirical distributions
