@@ -12,8 +12,13 @@ staircase region.  U_k is evaluated through a boundary-crossing
 recursion (Noe 1972; Steck 1971) in which every term is a nonnegative
 probability, so double precision suffices and nothing cancels.
 
-Large-n limits (a Borel-Tanner law near zero and a normal component away
-from it) and the uniform-null closed form live here as well.
+The Bonferroni count is binomial under independence, with a Poisson
+large-n limit; both pmfs are evaluated with numpy alone (Loader's
+saddle-point form for the binomial) and truncated where the upper tail,
+summed from the right, falls to the tolerance.  Large-n limits (a
+Borel-Tanner law near zero and a normal component away from it, located
+by golden-section search and bisection) and the uniform-null closed form
+live here as well.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp, mpf, workprec
-from scipy import optimize, stats
-from scipy.special import gammaln, xlogy
 
 from .errors import InputError, NumericError
 from .psi_dist import (
     ThetaParams,
+    _beta_poly,
+    _horner,
     cdf,
     density,
     require_valid,
@@ -195,6 +200,20 @@ def bonferroni_count(pvalues, alpha: float) -> int:
     return int(np.count_nonzero(arr <= alpha / arr.size))
 
 
+def _log_factorials(hi: int) -> np.ndarray:
+    return np.array([math.lgamma(i + 1.0) for i in range(hi + 1)])
+
+
+def _poisson_pmf(mean: float, log_fact: np.ndarray) -> np.ndarray:
+    """Poisson(mean) pmf at k = 0..len(log_fact) - 1, given log k! there:
+    exp(k log mean - mean - log k!), with 0 log 0 = 0 at mean = 0."""
+    if mean == 0.0:
+        pmf = np.zeros(log_fact.size)
+        pmf[0] = 1.0
+        return pmf
+    return np.exp(np.arange(log_fact.size) * math.log(mean) - mean - log_fact)
+
+
 def _step_down_logs(setup: TestingSetup, cap: int):
     """log U_k and log Pr[K = k] for k = 0..cap, in double precision.
 
@@ -212,14 +231,14 @@ def _step_down_logs(setup: TestingSetup, cap: int):
     b = cdf(np.minimum(np.arange(cap + 2) * setup.alpha / n, 1.0), setup.marginal)
     lam = n * np.maximum(np.diff(b), 0.0)
     m = np.arange(cap + 1)
-    log_fact = gammaln(m + 1.0)
+    log_fact = _log_factorials(cap)
     h = np.zeros(cap + 1)
     h[0] = 1.0
     diag = np.ones(cap + 1)
     for j in range(1, cap + 1):
         # only m >= j - 1 met threshold j - 1; entries below are dead
         width = cap + 2 - j
-        pois = np.exp(xlogy(m[:width], lam[j - 1]) - lam[j - 1] - log_fact[:width])
+        pois = _poisson_pmf(float(lam[j - 1]), log_fact[:width])
         h[j - 1:] = np.convolve(h[j - 1:], pois)[:width]
         diag[j] = h[j]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -347,43 +366,121 @@ def borel_tanner_var(alpha: float) -> float:
     return alpha / (1.0 - alpha) ** 3
 
 
-def _binomial_truncation(dist, tail_tol: float, n_cap: int) -> int:
-    k_max = int(dist.isf(tail_tol)) + 1
-    while dist.cdf(k_max) < 1.0 - tail_tol and k_max < n_cap:
-        k_max += 1
-    return min(k_max, n_cap)
+# stirlerr(k) = log k! - log(sqrt(2 pi k) (k / e)^k) for k = 0..15, from
+# a 50-digit loggamma (k = 0 is never read); larger k use Stirling's series
+_STIRLERR_SMALL = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """Error of Stirling's formula for log k!, at integers k >= 1."""
+    out = np.empty(k.shape)
+    small = k <= 15
+    out[small] = _STIRLERR_SMALL[k[small].astype(int)]
+    big = k[~small].astype(float)
+    kk = big * big
+    out[~small] = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk)
+                                         / kk) / kk) / kk) / big
+    return out
+
+
+def _bd0(x: np.ndarray, mu: float) -> np.ndarray:
+    """Deviance x log(x / mu) + mu - x for x, mu > 0; near x = mu it is
+    summed as a series in v = (x - mu) / (x + mu), which does not cancel."""
+    out = x * np.log(x / mu) + mu - x
+    near = np.abs(x - mu) < 0.1 * (x + mu)
+    if near.any():
+        xn = x[near]
+        v = (xn - mu) / (xn + mu)
+        s = (xn - mu) * v
+        term = 2.0 * xn * v
+        for j in range(1, 100):  # |v| < 0.1: each term is 100 times smaller
+            term *= v * v
+            nxt = s + term / (2 * j + 1)
+            if np.array_equal(nxt, s):
+                break
+            s = nxt
+        out[near] = s
+    return out
+
+
+def _binomial_pmf(n: int, p: float, hi: int) -> np.ndarray:
+    """Binomial(n, p) pmf at k = 0..hi (hi <= n) in Loader's saddle-point
+    form (Loader 2000, "Fast and accurate computation of binomial
+    probabilities"): log Pr[k] = stirlerr(n) - stirlerr(k) - stirlerr(n-k)
+    - bd0(k, np) - bd0(n-k, nq) - log(2 pi k (n-k) / n) / 2."""
+    pmf = np.zeros(hi + 1)
+    if p == 0.0 or p == 1.0:
+        pmf[0 if p == 0.0 else n] = 1.0  # hi = n when p = 1
+        return pmf
+    pmf[0] = math.exp(n * math.log1p(-p))
+    if hi == n:
+        pmf[n] = math.exp(n * math.log(p))
+    k = np.arange(1, min(hi, n - 1) + 1)
+    if k.size:
+        q = 1.0 - p
+        log_c = (_stirlerr(np.array([n]))[0] - _stirlerr(k) - _stirlerr(n - k)
+                 - _bd0(k.astype(float), n * p) - _bd0((n - k).astype(float), n * q))
+        log_f = math.log(2 * math.pi) + np.log(k) + np.log1p(-k / n)
+        pmf[k] = np.exp(log_c - 0.5 * log_f)
+    return pmf
+
+
+def _window_end(mean: float) -> int:
+    """A count beyond which a binomial or Poisson law of this mean holds
+    less than e^-745 (below the smallest double), by Bernstein's bound
+    Pr[X >= mean + t] <= exp(-t^2 / (2 (mean + t / 3)))."""
+    t = 745 / 3 + math.sqrt((745 / 3) ** 2 + 1490 * mean)
+    return int(math.ceil(mean + t)) + 1
+
+
+def _truncated(setup: TestingSetup, pmf: np.ndarray,
+               tail_tol: float) -> CountDistribution:
+    """Cut a pmf computed past its negligible tail at one past the
+    smallest k with Pr[X > k] <= tail_tol, capped at n.  The upper tails
+    are summed from the right, so they keep their relative accuracy
+    where 1 - cumsum would be rounding noise."""
+    above = np.append(np.cumsum(pmf[::-1])[::-1][1:], 0.0)  # Pr[X > k]
+    k_max = min(int(np.argmax(above <= tail_tol)) + 1, setup.n)
+    return CountDistribution(
+        setup=setup,
+        pmf=pmf[: k_max + 1],
+        k_max=k_max,
+        tail_mass=float(above[k_max]),
+        precision_bits=53,
+    )
+
+
+def _binomial_law(setup: TestingSetup, p: float,
+                  tail_tol: float) -> CountDistribution:
+    n = setup.n
+    return _truncated(setup, _binomial_pmf(n, p, min(n, _window_end(n * p))),
+                      tail_tol)
+
+
+def _poisson_law(setup: TestingSetup, mean: float,
+                 tail_tol: float) -> CountDistribution:
+    return _truncated(setup, _poisson_pmf(mean, _log_factorials(_window_end(mean))),
+                      tail_tol)
 
 
 def bonferroni_pmf(setup: TestingSetup, tail_tol: float = 1e-9) -> CountDistribution:
     """Bonferroni count: Binomial(n, Psi(alpha/n)) under independence."""
     _check_tail_tol(tail_tol)
-    p_star = cdf(setup.alpha / setup.n, setup.marginal)
-    dist = stats.binom(setup.n, p_star)
-    k_max = _binomial_truncation(dist, tail_tol, setup.n)
-    pmf = dist.pmf(np.arange(k_max + 1))
-    return CountDistribution(
-        setup=setup,
-        pmf=pmf,
-        k_max=k_max,
-        tail_mass=max(float(1.0 - pmf.sum()), 0.0),
-        precision_bits=53,
-    )
+    return _binomial_law(setup, cdf(setup.alpha / setup.n, setup.marginal),
+                         tail_tol)
 
 
 def bonferroni_poisson(setup: TestingSetup, tail_tol: float = 1e-9) -> CountDistribution:
     """Large-n Poisson limit of the Bonferroni count, mean n*Psi(alpha/n)."""
     _check_tail_tol(tail_tol)
     mean = setup.n * cdf(setup.alpha / setup.n, setup.marginal)
-    dist = stats.poisson(mean)
-    k_max = _binomial_truncation(dist, tail_tol, setup.n)
-    pmf = dist.pmf(np.arange(k_max + 1))
-    return CountDistribution(
-        setup=setup,
-        pmf=pmf,
-        k_max=k_max,
-        tail_mass=max(float(1.0 - pmf.sum()), 0.0),
-        precision_bits=53,
-    )
+    return _poisson_law(setup, mean, tail_tol)
 
 
 @dataclass(frozen=True)
@@ -406,33 +503,71 @@ class NormalApprox:
         return self.has_component
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _positive_point(gap, hi: float) -> float | None:
+    """A point of [0, hi] where the concave ``gap`` is positive, by
+    golden-section search for its peak; None when the peak, located to
+    1e-10 relative, is not positive."""
+    a, b = 0.0, hi
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    gc, gd = gap(c), gap(d)
+    while b - a > 1e-10 * max(1.0, c):
+        if gc > 0.0:
+            return c
+        if gd > 0.0:
+            return d
+        if gc >= gd:
+            b, d, gd = d, c, gc
+            c = b - _GOLDEN * (b - a)
+            gc = gap(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + _GOLDEN * (b - a)
+            gd = gap(d)
+    return None
+
+
 def normal_approx(setup: TestingSetup) -> NormalApprox:
     """Center and spread of the normal component.
 
     mu solves n * Psi((mu+1) alpha / n) = mu + 1 on (0, n); the left side
     minus the right is concave in mu, so the down-crossing (when it
-    exists) is unique and found by bracketed root search.  sigma is
+    exists) is unique.  It is bracketed from a point where the gap is
+    positive (mu = 0, or one found by golden-section search for the
+    peak) and bisected to adjacent doubles.  sigma is
     sqrt(n / psi(mu alpha / n)).
     """
     n, alpha, theta = setup.n, setup.alpha, setup.marginal
+    beta = [float(b) for b in _beta_poly(theta)]
 
     def gap(mu: float) -> float:
-        return n * cdf((mu + 1.0) * alpha / n, theta) - (mu + 1.0)
+        p = (mu + 1.0) * alpha / n
+        psi = min(max(p * _horner(beta, -math.log(p)), 0.0), 1.0)
+        return n * psi - (mu + 1.0)
 
     lo = 0.0
     if gap(0.0) <= 0.0:
-        peak = optimize.minimize_scalar(
-            lambda m: -gap(m), bounds=(0.0, float(n)), method="bounded"
-        )
-        if -peak.fun <= 0.0:
+        lo = _positive_point(gap, float(n))
+        if lo is None:
             return NormalApprox(None, None)
-        lo = float(peak.x)
     hi = min(float(n), max(2.0 * lo, 1.0))
     while gap(hi) > 0.0 and hi < n:
         hi = min(float(n), 2.0 * hi)
-    if gap(hi) > 0.0:
+    g_lo, g_hi = gap(lo), gap(hi)
+    if g_hi > 0.0:
         return NormalApprox(None, None)
-    mu = optimize.brentq(gap, lo, hi, xtol=1e-10, maxiter=200)
+    while True:  # gap(lo) > 0 >= gap(hi)
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        g_mid = gap(mid)
+        if g_mid > 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+    mu = lo if g_lo < -g_hi else hi
     if mu <= 0.0:
         return NormalApprox(None, None)
     sigma = math.sqrt(n / density(mu * alpha / n, theta))

@@ -4,12 +4,12 @@ With x = -log p, an order-I density is 1 + sum_j theta_j (x^j - j!),
 linear in the coefficients, so the log-likelihood is concave.  The valid
 region used here is the chained box theta_i >= 0,
 sum_{j>=i} j! theta_j <= 1; in the mixture weights u_j = j! theta_j it
-is the simplex u >= 0, sum(u) <= 1.  One SLSQP solve over that simplex,
-with the analytic gradient and from a single interior start, reaches the
-global maximum, since a concave function has no other local maxima.
-For orders >= 2 the top coefficient stays at or above the smallest
-normal float, because the order is defined by theta_I > 0; order 1
-keeps the closed interval [0, 1].
+is the simplex u >= 0, sum(u) <= 1.  One active-set Newton solve over
+that simplex, with the analytic gradient and Hessian and from a single
+interior start, reaches the global maximum, since a concave function
+has no other local maxima.  For orders >= 2 the top coefficient stays
+at or above the smallest normal float, because the order is defined by
+theta_I > 0; order 1 keeps the closed interval [0, 1].
 
 Standard errors come from the exact observed information, the Hessian
 sum v v^T / f^2 of the negative log-likelihood.  Coefficients within
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InputError, NumericError
 from .psi_dist import ThetaParams, chained_upper_bound, require_valid
@@ -31,6 +30,8 @@ from .psi_dist import ThetaParams, chained_upper_bound, require_valid
 __all__ = ["FitResult", "log_likelihood", "fit", "select_order"]
 
 _BOUNDARY_SNAP = 1e-8
+_NEWTON_DECREMENT = 1e-13
+_NEWTON_MAX_ITER = 100
 _CHI2_1_05 = 3.84  # chi-squared(1 df) critical value at .05
 _NO_CHANGE = 1e-4
 
@@ -43,8 +44,8 @@ class FitResult:
     constraint (its standard error is then unreliable).  ``std_errs``
     are the square roots of the diagonal of the inverse observed
     information, None when that matrix is not positive definite.
-    ``iterations`` counts SLSQP iterations.  ``trace`` carries the
-    per-order fits when produced by select_order.
+    ``iterations`` counts the Newton steps of the active-set solve.
+    ``trace`` carries the per-order fits when produced by select_order.
     """
 
     theta_hat: ThetaParams
@@ -122,6 +123,15 @@ def _snap_boundaries(coeffs: tuple, order: int) -> tuple:
             if i < order or order == 1:
                 snapped[i - 1] = 0.0
             flags[i - 1] = True
+    # theta_0 adds the terms in another order than the chained bounds, so
+    # a snap onto sum(u) = 1 can leave it a rounding below zero (a negative
+    # density at p = 1); the lowest positive coefficient gives that back
+    low = next((i for i, c in enumerate(snapped) if c > 0.0), None)
+    for _ in range(3):
+        theta0 = ThetaParams(order, tuple(snapped)).theta0
+        if low is None or theta0 >= 0.0:
+            break
+        snapped[low] = max(snapped[low] + theta0 / math.factorial(low + 1), 0.0)
     return tuple(snapped), tuple(flags)
 
 
@@ -141,12 +151,112 @@ def _std_errs(v: np.ndarray, theta: ThetaParams):
     return tuple(float(s) for s in np.sqrt((linv ** 2).sum(axis=0)))
 
 
+def _mean_loglik(m: np.ndarray, u: np.ndarray) -> float:
+    f = 1.0 + m @ u
+    return float(np.log(f).mean()) if np.all(f > 0.0) else -math.inf
+
+
+def _newton_step(g, h, free, sum_active):
+    """Newton step d on the free coordinates, maximizing the quadratic
+    model g.d - d.h.d / 2 (with 1.d = 0 when sum(u) <= 1 is active), and
+    the multiplier lam of that constraint (0 when it is inactive)."""
+    d = np.zeros_like(g)
+    idx = np.flatnonzero(free)
+    k = idx.size
+    if k == 0:
+        return d, 0.0
+    kkt = h[np.ix_(idx, idx)]
+    rhs = g[idx]
+    if sum_active:
+        kkt = np.block([[kkt, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+        rhs = np.append(rhs, 0.0)
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular Newton system: {exc}") from None
+    d[idx] = sol[:k]
+    return d, float(sol[k]) if sum_active else 0.0
+
+
+def _active_set_newton(m: np.ndarray, lb: np.ndarray):
+    """Maximize mean(log(1 + m u)) over u >= lb, sum(u) <= 1.
+
+    A primal active-set method: Newton steps on the free coordinates
+    (through the KKT system when sum(u) = 1 is held), capped by a ratio
+    test at the nearest bound, which then joins the working set, and
+    shortened by Armijo backtracking.  Once the Newton decrement g.d is
+    at most 1e-13, the constraint with the most negative multiplier is
+    released; with none left the point is optimal.  Returns (u, number
+    of Newton steps); a stalled line search or more than 100 steps
+    raises NumericError.
+    """
+    order = m.shape[1]
+    u = np.full(order, 0.1 / order)
+    at_bound = np.zeros(order, dtype=bool)
+    sum_active = False
+    value = _mean_loglik(m, u)
+    for step_no in range(_NEWTON_MAX_ITER + 1):
+        w = m / (1.0 + m @ u)[:, None]
+        g = w.mean(axis=0)
+        h = w.T @ w / len(w)  # minus the Hessian
+        d, lam = _newton_step(g, h, ~at_bound, sum_active)
+        if g @ d <= _NEWTON_DECREMENT:
+            mult = np.where(at_bound, lam - g, np.inf)  # of the bounds
+            worst = int(np.argmin(mult))
+            if sum_active and lam < min(mult[worst], 0.0):
+                sum_active = False
+            elif mult[worst] < 0.0:
+                at_bound[worst] = False
+            else:
+                return u, step_no
+            d, lam = _newton_step(g, h, ~at_bound, sum_active)
+            if g @ d <= _NEWTON_DECREMENT:
+                return u, step_no  # the release gains nothing measurable
+        if step_no == _NEWTON_MAX_ITER:
+            break
+        # ratio test: the longest step (at most 1) that stays feasible
+        t_max, blocking = 1.0, None
+        for i in np.flatnonzero(~at_bound & (d < 0.0)):
+            t = max((u[i] - lb[i]) / -d[i], 0.0)
+            if t < t_max:
+                t_max, blocking = t, i
+        rise = d.sum()
+        if not sum_active and rise > 0.0:
+            t = max((1.0 - u.sum()) / rise, 0.0)
+            if t < t_max:
+                t_max, blocking = t, "sum"
+        t = t_max
+        slope = g @ d
+        for _ in range(60):
+            cand = u + t * d
+            if t == t_max and blocking not in (None, "sum"):
+                cand[blocking] = lb[blocking]
+            new = _mean_loglik(m, cand)
+            if new >= value + 1e-4 * t * slope or t == 0.0:
+                break
+            t *= 0.5
+        else:
+            raise NumericError(
+                f"Newton fit of order {order} stalled: no ascent along the step"
+            )
+        u, value = cand, new
+        if t == t_max and blocking == "sum":
+            sum_active = True
+        elif t == t_max and blocking is not None:
+            at_bound[blocking] = True
+    raise NumericError(
+        f"Newton fit of order {order} did not converge in "
+        f"{_NEWTON_MAX_ITER} iterations"
+    )
+
+
 def fit(pvalues, order: int) -> FitResult:
     """Maximum-likelihood estimate of a fixed-order model.
 
-    Solves the concave problem once with SLSQP, snaps coefficients onto
-    the constraints they reach, and attaches observed-information
-    standard errors.  Raises NumericError if the solve fails.
+    Solves the concave problem once by active-set Newton, snaps
+    coefficients onto the constraints they reach, and attaches
+    observed-information standard errors.  Raises NumericError if the
+    solve fails.
     """
     if order < 1:
         raise InputError(f"order must be >= 1, got {order}")
@@ -158,34 +268,14 @@ def fit(pvalues, order: int) -> FitResult:
         )
     v = _design(-np.log(arr), order)
     fact = np.array([math.factorial(j) for j in range(1, order + 1)], dtype=float)
-    # solving for u_j = j! theta_j rather than theta: the simplex needs
-    # one constraint, not I, and only with the columns of v divided by
-    # j! does SLSQP converge reliably at orders 5 and 6
-    m = v / fact
-
-    def objective(u):
-        # the mean, not the sum, keeps SLSQP's ftol on a per-point scale
-        f = 1.0 + m @ u
-        if np.any(f <= 0.0):
-            return math.inf, np.zeros(order)
-        return -float(np.log(f).mean()), -(m / f[:, None]).mean(axis=0)
-
-    bounds = [(0.0, None)] * order
+    # solving for u_j = j! theta_j rather than theta: the region is the
+    # simplex u >= 0, sum(u) <= 1, and the columns of v divided by j!
+    # keep the Newton system well scaled at orders 5 and 6
+    lb = np.zeros(order)
     if order > 1:
-        bounds[-1] = (fact[-1] * np.finfo(float).tiny, None)
-    res = optimize.minimize(
-        objective,
-        np.full(order, 0.1 / order),
-        jac=True,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=[{"type": "ineq", "fun": lambda u: 1.0 - u.sum(),
-                      "jac": lambda u: -np.ones(order)}],
-        options=dict(ftol=1e-12, maxiter=500),
-    )
-    if not res.success:
-        raise NumericError(f"SLSQP fit of order {order} failed: {res.message}")
-    coeffs, flags = _snap_boundaries(tuple(float(c) for c in res.x / fact), order)
+        lb[-1] = fact[-1] * np.finfo(float).tiny
+    u, iterations = _active_set_newton(v / fact, lb)
+    coeffs, flags = _snap_boundaries(tuple(float(c) for c in u / fact), order)
     theta_hat = ThetaParams(order, coeffs)
     require_valid(theta_hat, "fitted parameters")
     return FitResult(
@@ -195,7 +285,7 @@ def fit(pvalues, order: int) -> FitResult:
         n_obs=int(arr.size),
         pi0_hat=theta_hat.theta0,
         converged=True,
-        iterations=int(res.nit),
+        iterations=iterations,
         boundary_flags=flags,
     )
 
@@ -207,6 +297,13 @@ def select_order(pvalues, max_order: int = 6) -> FitResult:
     below the chi-squared(1) critical value 3.84, or when the gain is
     numerically nil (below 1e-4); returns the last accepted fit with
     every attempted fit attached as the trace.
+
+    The rule is not a test at level .05.  The top coefficient of the
+    larger model sits on its boundary whenever the data do not call for
+    it, so 2 Delta is often exactly 0 and the chi-squared(1) reference
+    overstates the size: on 400 samples of n = 3226 from the order-3
+    breast-cancer law, the 3 -> 4 step gave 2 Delta = 0 in 48 % of them
+    and 2 Delta > 3.84 in 0.5 %.
     """
     if max_order < 1:
         raise InputError(f"max_order must be >= 1, got {max_order}")

@@ -158,19 +158,17 @@ def _iter_pvalue_chunks(config: SimConfig):
         if isinstance(dep, Independent):
             for i in range(hi - lo):
                 substream(lo + i).random(out=x[i])
-            yield lo, hi, _transform_uniform_chunk(x, config.marginal)
+            x = _transform_uniform_chunk(x, config.marginal)
         elif isinstance(dep, Latent):
             coin = np.empty(hi - lo, dtype=bool)
             for i in range(hi - lo):
                 sub = substream(lo + i)
                 coin[i] = sub.random() < 0.5
                 sub.random(out=x[i])
-            p = np.empty_like(x)
             if coin.any():
-                p[coin] = _transform_uniform_chunk(x[coin], minus)
+                x[coin] = _transform_uniform_chunk(x[coin], minus)
             if (~coin).any():
-                p[~coin] = _transform_uniform_chunk(x[~coin], plus)
-            yield lo, hi, p
+                x[~coin] = _transform_uniform_chunk(x[~coin], plus)
         else:
             w = np.empty(hi - lo)
             e = np.empty(hi - lo)
@@ -182,7 +180,11 @@ def _iter_pvalue_chunks(config: SimConfig):
             x /= _kanter(dep.gamma, w, e)[:, None]
             x **= 1.0 / dep.gamma
             np.exp(np.negative(x, out=x), out=x)
-            yield lo, hi, _transform_uniform_chunk(x, config.marginal)
+            x = _transform_uniform_chunk(x, config.marginal)
+        # the rebinding above freed the uniform buffer; dropping this
+        # reference before the next allocation keeps one chunk alive
+        yield lo, hi, x
+        del x
 
 
 @dataclass(frozen=True)
@@ -217,10 +219,14 @@ def empirical_count_distribution(config: SimConfig,
     thresh = np.arange(1, n + 1) * alpha / n
     for _, _, chunk in _iter_pvalue_chunks(config):
         if rule_key == "bh":
-            ok = np.sort(chunk, axis=1) <= thresh
+            chunk.sort(axis=1)
+            ok = chunk <= thresh
             k = np.where(ok.all(axis=1), n, np.argmin(ok, axis=1))
         else:
-            k = (chunk <= alpha / n).sum(axis=1)
+            ok = chunk <= alpha / n
+            k = ok.sum(axis=1)
+        # drop the chunk and its mask before the next one is drawn
+        del chunk, ok
         counts += np.bincount(k, minlength=n + 1)
     k_max = int(np.nonzero(counts)[0][-1])
     pmf = counts[: k_max + 1] / config.replicates

@@ -3,6 +3,10 @@ validation, exit codes, and agreement with the library calls each
 subcommand wraps.
 """
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -333,3 +337,44 @@ def test_malformed_theta_rejected(runner):
     result = runner.invoke(main, ["bh-dist", "--n", "5", "--alpha", "0.05",
                                   "--theta", "0.1,abc"])
     assert result.exit_code == 2
+
+
+# ------------------------------------------------------------- import set
+
+_NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import contextlib, io, sys
+    from fdrdist.cli import main
+
+    bc = ["--n", "3226", "--alpha", "0.05", "--theta", "0.158,0.0492,0.0201"]
+    commands = [
+        ["bh-dist"] + bc,
+        ["bonf-dist"] + bc,
+        ["bonf-dist"] + bc + ["--poisson"],
+        ["bonf-dist"] + bc + ["--gamma", "1.05"],
+        ["dependent"] + bc + ["--z", "0.5", "--sigma", "0.084,0.0506,0.0075"],
+        ["power", "--theta", "0.0524,0.00983,0.00327", "--pilot-n", "78",
+         "--n-tests", "2000", "--n-list", "78,300", "--z-list", "0,0.4"],
+        ["--seed", "1", "simulate", "--n", "50", "--alpha", "0.05",
+         "--replicates", "200", "--theta", "0.158,0.0492,0.0201"],
+        ["count", sys.argv[1], "--alpha", "0.05"],
+        ["fit", sys.argv[1], "--max-order", "3"],
+    ]
+    for args in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(args, standalone_mode=False)
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+""")
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    # a fresh interpreter, because this test process has scipy loaded
+    f = tmp_path / "p.txt"
+    p = np.exp(-np.random.default_rng(3).gamma(1.5, size=400))
+    f.write_text("".join("%.17g\n" % v for v in p))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_module.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(f)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -3,19 +3,21 @@ recursion, closed forms and limits.
 
 Oracles: a naive loop for the counting rules; exact piecewise-polynomial
 integration for the staircase integrals; the uniform-null closed form;
-scipy.stats for the Bonferroni binomial/Poisson; and the alternating
-staircase recursion run in extended precision until two passes agree,
-with the factorial identity behind it checked separately.
+scipy.stats and 40-digit mpmath values for the Bonferroni
+binomial/Poisson, with scipy's isf for their truncation point; the
+scipy minimize_scalar + brentq solve for the normal component; and the
+alternating staircase recursion run in extended precision until two
+passes agree, with the factorial identity behind it checked separately.
 """
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from mpmath import binomial as mp_binomial, mpf, workprec
-from scipy import stats
+from mpmath import binomial as mp_binomial, loggamma, mp, mpf, workprec
+from scipy import optimize, stats
 
-from conftest import THETA_BC3, THETA_HUANG
+from conftest import THETA_BC3, THETA_HUANG, THETA_TCGA
 from fdrdist import (
     CountDistribution,
     InputError,
@@ -37,10 +39,13 @@ from fdrdist import (
     borel_tanner_var,
     cdf,
     normal_approx,
+    density,
+    perturbed_pair,
     random_theta,
     scale_theta,
     u_k,
 )
+from fdrdist.count_dist import _binomial_law, _poisson_law
 from fdrdist.psi_dist import _beta_mp, _cdf_mp
 
 
@@ -441,6 +446,95 @@ def test_bonferroni_poisson_limit():
         assert limit.prob(k) == pytest.approx(exact.prob(k), abs=5e-4)
 
 
+_EPS = np.finfo(float).eps
+
+
+def _isf_k_max(dist, tail_tol, n):
+    """The truncation rule of the scipy implementation: one past scipy's
+    isf, raised while the cdf is short of 1 - tail_tol, capped at n."""
+    k_max = int(dist.isf(tail_tol)) + 1
+    while dist.cdf(k_max) < 1.0 - tail_tol and k_max < n:
+        k_max += 1
+    return min(k_max, n)
+
+
+def _assert_rel(got, want, tol):
+    big = want > 1e-300
+    rel = np.abs(got[big] / want[big] - 1.0)
+    assert np.all(rel <= np.broadcast_to(tol, want.shape)[big]), rel.max()
+
+
+@pytest.mark.parametrize("n, theta", [(3226, THETA_BC3), (20068, THETA_TCGA),
+                                      (48803, THETA_HUANG)])
+@pytest.mark.parametrize("tail_tol", [1e-9, 1e-12])
+def test_bonferroni_laws_match_scipy_case_studies(n, theta, tail_tol):
+    setup = TestingSetup(n, 0.05, theta)
+    p_star = cdf(0.05 / n, theta)
+    for law, oracle in ((bonferroni_pmf(setup, tail_tol), stats.binom(n, p_star)),
+                        (bonferroni_poisson(setup, tail_tol), stats.poisson(n * p_star))):
+        assert law.k_max == _isf_k_max(oracle, tail_tol, n)
+        _assert_rel(law.pmf, oracle.pmf(np.arange(law.k_max + 1)), 1e-13)
+        assert law.tail_mass == pytest.approx(oracle.sf(law.k_max), rel=1e-9)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=100_000),
+    p_star=st.floats(min_value=1e-8, max_value=0.5, exclude_min=True,
+                     exclude_max=True),
+    tail_tol=st.sampled_from([1e-9, 1e-12]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bonferroni_laws_match_oracles(n, p_star, tail_tol, seed):
+    # rounding n p* and n (1 - p*) moves log Pr[k] by about
+    # eps |k - n p*|, and its terms by eps |log Pr[k]|; no double-precision
+    # evaluation does better, so entries far out in a large-n tail get
+    # that allowance on top of 1e-13.  scipy's binomial (boost's incomplete
+    # beta derivative) is itself up to 4.3e-13 off the exact value at
+    # n = 227, so against scipy the floor is 1e-12 and against the exact
+    # 40-digit value it is 1e-13.
+    setup = TestingSetup(n, 0.05)
+    law = _binomial_law(setup, p_star, tail_tol)
+    oracle = stats.binom(n, p_star)
+    assert law.k_max == _isf_k_max(oracle, tail_tol, n)
+    k = np.arange(law.k_max + 1)
+    want = oracle.pmf(k)
+    with np.errstate(divide="ignore"):
+        cond = _EPS * (np.abs(k - n * p_star) + np.abs(np.log(want)))
+    _assert_rel(law.pmf, want, 1e-12 + 8 * cond)
+    rng = np.random.default_rng(seed)
+    with workprec(140):
+        p = mpf(p_star)
+        for j in {0, law.k_max, min(law.k_max, int(n * p_star)),
+                  *rng.integers(0, law.k_max + 1, 6).tolist()}:
+            log_exact = (loggamma(n + 1) - loggamma(j + 1) - loggamma(n - j + 1)
+                         + j * mp.log(p) + (n - j) * mp.log1p(-p))
+            if log_exact > -690:
+                exact = float(mp.exp(log_exact))
+                allow = 1e-13 + 4 * _EPS * (abs(j - n * p_star) + abs(float(log_exact)))
+                assert abs(law.pmf[j] / exact - 1.0) <= allow
+
+    # the Poisson pmf is scipy's own formula exp(k log mu - lgamma(k+1) - mu);
+    # its terms reach k log mu, so two evaluations that round lgamma
+    # differently part by eps times their size
+    mean = n * p_star
+    law = _poisson_law(setup, mean, tail_tol)
+    oracle = stats.poisson(mean)
+    assert law.k_max == _isf_k_max(oracle, tail_tol, n)
+    k = np.arange(law.k_max + 1)
+    terms = (k * abs(math.log(mean))
+             + np.array([math.lgamma(j + 1.0) for j in k]) + mean)
+    _assert_rel(law.pmf, oracle.pmf(k), 1e-13 + 4 * _EPS * terms)
+
+
+def test_bonferroni_tail_mass_is_summed_from_the_right():
+    # 1 - sum(pmf) would be rounding noise at this tolerance
+    setup = TestingSetup(3226, 0.05, THETA_BC3)
+    oracle = stats.binom(3226, cdf(0.05 / 3226, THETA_BC3))
+    law = bonferroni_pmf(setup, tail_tol=1e-15)
+    assert 0.0 < law.tail_mass <= 1e-15
+    assert law.tail_mass == pytest.approx(oracle.sf(law.k_max), rel=1e-9)
+
+
 # -------------------------------------------------------- normal component
 
 def test_normal_approx_breast_cancer():
@@ -459,6 +553,75 @@ def test_normal_approx_absent_under_uniform():
     assert not na.has_component
     assert not bool(na)
     assert na.mu is None and na.sigma is None
+
+
+def _scipy_normal_approx(setup):
+    """(mu, sigma) by the scipy solve normal_approx used before: a bounded
+    minimize_scalar for the peak of the concave gap when gap(0) <= 0,
+    then brentq on the down-crossing; None when there is no root."""
+    n, alpha, theta = setup.n, setup.alpha, setup.marginal
+
+    def gap(mu):
+        return n * cdf((mu + 1.0) * alpha / n, theta) - (mu + 1.0)
+
+    lo = 0.0
+    if gap(0.0) <= 0.0:
+        peak = optimize.minimize_scalar(
+            lambda m: -gap(m), bounds=(0.0, float(n)), method="bounded")
+        if -peak.fun <= 0.0:
+            return None
+        lo = float(peak.x)
+    hi = min(float(n), max(2.0 * lo, 1.0))
+    while gap(hi) > 0.0 and hi < n:
+        hi = min(float(n), 2.0 * hi)
+    if gap(hi) > 0.0:
+        return None
+    mu = optimize.brentq(gap, lo, hi, xtol=1e-10, maxiter=200)
+    if mu <= 0.0:
+        return None
+    return mu, math.sqrt(n / density(mu * alpha / n, theta))
+
+
+def _assert_normal_matches_scipy(setup):
+    want = _scipy_normal_approx(setup)
+    got = normal_approx(setup)
+    if want is None:
+        assert not got
+    else:
+        assert got.mu == pytest.approx(want[0], rel=1e-10)
+        assert got.sigma == pytest.approx(want[1], rel=1e-10)
+
+
+def _pilot_cell_setups():
+    """Both latent branches of the 12 (N, z) cells of the pilot power grid."""
+    out = []
+    for n_subj in (78, 300, 450, 600):
+        scaled = scale_theta(THETA_HUANG, n_subj, 78)
+        for z in (0.0, 0.4, 0.8):
+            eps = tuple(z * c for c in scaled.coeffs)
+            out += [TestingSetup(48803, 0.05, th) for th in perturbed_pair(scaled, eps)]
+    return out
+
+
+@pytest.mark.parametrize("setup", [
+    TestingSetup(3226, 0.05, THETA_BC3),
+    TestingSetup(20068, 0.05, THETA_TCGA),
+    TestingSetup(100, 0.05),
+    *_pilot_cell_setups(),
+])
+def test_normal_approx_matches_scipy_solve(setup):
+    _assert_normal_matches_scipy(setup)
+
+
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=50_000),
+    st.floats(min_value=0.005, max_value=0.6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_normal_approx_matches_scipy_solve_random_theta(order, n, alpha, seed):
+    theta = random_theta(order, np.random.default_rng(seed))
+    _assert_normal_matches_scipy(TestingSetup(n, alpha, theta))
 
 
 # ------------------------------------------------- CountDistribution type

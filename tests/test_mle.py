@@ -4,12 +4,14 @@ handling, parameter recovery on synthetic data, and order selection.
 Oracles: the density evaluated directly, datasets drawn from known
 parameters by the simulation engine, a central-difference Hessian of the
 log-likelihood for the observed-information standard errors, the KKT
-conditions of the constrained maximum, and coverage counts.
+conditions of the constrained maximum, a scipy SLSQP solve of the same
+concave problem, and coverage counts.
 """
 import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from conftest import SIG_BC3, THETA_BC3
 from fdrdist import (
@@ -23,6 +25,7 @@ from fdrdist import (
     select_order,
     validate_theta,
 )
+from fdrdist.mle import _snap_boundaries
 
 
 def _draws(theta, n, seed, replicates=1):
@@ -211,6 +214,20 @@ def test_fit_satisfies_kkt_conditions(p, flags):
     assert np.all(score[~positive] < mu)
 
 
+def test_snap_onto_full_simplex_keeps_theta0_nonnegative():
+    # an order-6 optimum with sum(u) = 1 seen in a fuzzed fit: snapping
+    # theta_1 onto its chained bound left theta_0 = -2.2e-16, a negative
+    # density at p = 1 that the order-6 grid check rejects
+    raw = (0.5579312537389811, 0.20026634464055168, 0.0, 0.0,
+           0.00016625771251640919, 2.99793492749254e-05)
+    coeffs, flags = _snap_boundaries(raw, 6)
+    assert flags == (True, False, True, True, False, False)
+    theta = ThetaParams(6, coeffs)
+    assert 0.0 <= theta.theta0 < 1e-15
+    assert validate_theta(theta).valid
+    assert coeffs[1:] == raw[1:]
+
+
 @pytest.mark.parametrize("order", range(2, 7))
 def test_fit_uniform_data_keeps_top_coefficient_positive(order):
     p = np.random.default_rng(4).uniform(size=1000)
@@ -218,6 +235,80 @@ def test_fit_uniform_data_keeps_top_coefficient_positive(order):
     assert validate_theta(res.theta_hat).valid
     assert res.theta_hat.coeffs[-1] > 0.0
     assert res.boundary_flags[-1]
+
+
+def _slsqp_loglik(p, order):
+    """Maximum log-likelihood by one SLSQP solve over the simplex in
+    u_j = j! theta_j (analytic gradient, ftol 1e-12), the scipy solve
+    ``fit`` used before."""
+    x = -np.log(np.asarray(p, dtype=float))
+    fact = np.array([math.factorial(j) for j in range(1, order + 1)], dtype=float)
+    m = np.stack([x ** j - math.factorial(j) for j in range(1, order + 1)],
+                 axis=1) / fact
+
+    def objective(u):
+        f = 1.0 + m @ u
+        if np.any(f <= 0.0):
+            return math.inf, np.zeros(order)
+        return -float(np.log(f).mean()), -(m / f[:, None]).mean(axis=0)
+
+    bounds = [(0.0, None)] * order
+    if order > 1:
+        bounds[-1] = (fact[-1] * np.finfo(float).tiny, None)
+    res = optimize.minimize(
+        objective, np.full(order, 0.1 / order), jac=True, method="SLSQP",
+        bounds=bounds,
+        constraints=[{"type": "ineq", "fun": lambda u: 1.0 - u.sum(),
+                      "jac": lambda u: -np.ones(order)}],
+        options=dict(ftol=1e-12, maxiter=500))
+    assert res.success, res.message
+    return float(np.log(1.0 + m @ res.x).sum())
+
+
+def _fuzzed_pvalues(rng, kind, n):
+    if kind == 0:                                   # uniform
+        p = rng.uniform(size=n)
+    elif kind == 1:                                 # -log p gamma
+        p = np.exp(-rng.gamma(rng.uniform(0.5, 3.0), size=n))
+    elif kind == 2:                                 # null/signal mixture
+        k = rng.binomial(n, rng.uniform(0.05, 0.6))
+        p = np.concatenate([rng.uniform(size=n - k),
+                            np.exp(-rng.gamma(rng.uniform(1.0, 4.0), size=k))])
+    elif kind == 3:                                 # ties at p = 1
+        p = rng.uniform(size=n)
+        p[: max(1, n // 5)] = 1.0
+    else:                                           # breast-cancer law
+        p = _draws(THETA_BC3, n, seed=int(rng.integers(2**32)))
+    return np.clip(p, 1e-300, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_reaches_slsqp_maximum(seed):
+    # ten fits per seed: the five data kinds at two sizes from 12 to 3226,
+    # orders 1-6 in turn
+    rng = np.random.default_rng(seed)
+    for i in range(10):
+        order = 1 + (seed + i) % 6
+        n = int(np.exp(rng.uniform(math.log(order + 12), math.log(3226))))
+        p = _fuzzed_pvalues(rng, i % 5, n)
+        res = fit(p, order)
+        oracle = _slsqp_loglik(p, order)
+        assert res.loglik >= oracle - 1e-9 * max(1.0, abs(oracle))
+        assert res.iterations <= 100
+
+
+def test_select_order_matches_slsqp_selection():
+    # the selection rule applied to the SLSQP maxima picks the same order
+    for seed in range(12):
+        p = _draws(THETA_BC3, 3226, seed=5000 + seed)
+        res = select_order(p, max_order=6)
+        chosen, prev = 1, _slsqp_loglik(p, 1)
+        for order in range(2, 7):
+            cur = _slsqp_loglik(p, order)
+            if 2.0 * (cur - prev) < 3.84 or cur - prev < 1e-4:
+                break
+            chosen, prev = order, cur
+        assert res.theta_hat.order == chosen
 
 
 # --------------------------------------------------------- order selection
