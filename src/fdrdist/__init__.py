@@ -5,12 +5,15 @@ step-down false-discovery-rate rule and the Bonferroni rule, a
 log-polynomial family of p-value densities with maximum-likelihood
 fitting, two exchangeable dependence models, power planning for larger
 studies, and a Monte Carlo harness that cross-checks all of it.
+
+Everything runs in double precision.  Quantities that leave double
+range are returned as logs: ``u_k`` gives log U_k, the log of the
+k-fold staircase integral behind the step-down pmf.
 """
 
 from .errors import ConstraintError, FdrDistError, InputError, NumericError
 from .psi_dist import (
     BetaParams,
-    PrecisionContext,
     ThetaParams,
     ValidationReport,
     beta_to_theta,
@@ -83,7 +86,6 @@ __all__ = [
     "NumericError",
     "PowerGrid",
     "PowerRow",
-    "PrecisionContext",
     "SimConfig",
     "TestingSetup",
     "ThetaParams",

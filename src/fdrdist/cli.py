@@ -7,8 +7,8 @@ significant digits in both formats; the CSV carries scalars as
 "# key=value" comment lines above the table.
 
 Exit codes: 0 success, 2 bad input (flags, files, malformed values),
-3 numeric failure (precision cap, no convergence), 4 infeasible
-parameters (outside the valid coefficient region).
+3 numeric failure (a quadrature or root that did not converge), 4
+infeasible parameters (outside the valid coefficient region).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from .errors import ConstraintError, InputError, NumericError
-from .psi_dist import PrecisionContext, ThetaParams, cdf
+from .psi_dist import ThetaParams, cdf
 from .count_dist import (
     TestingSetup,
     bh_count,
@@ -275,28 +275,18 @@ def _add_options(options):
 
 
 @click.group()
-@click.option("--precision-bits", default=256, show_default=True,
-              help="Starting precision of the adaptive extended-precision "
-                   "passes (Gumbel-copula Bonferroni law only).")
 @click.option("--json", "fmt", flag_value="json", default=True,
               help="JSON output (default).")
 @click.option("--csv", "fmt", flag_value="csv", help="CSV output.")
 @click.option("--seed", default=0, show_default=True, type=int,
               help="Seed for the simulate command's random draws.")
 @click.pass_context
-def main(ctx, precision_bits, fmt, seed):
+def main(ctx, fmt, seed):
     """Distributions of multiple-testing discovery counts: exact pmfs,
     p-value density fitting, dependence models, power planning, and
     Monte Carlo checks."""
     ctx.ensure_object(dict)
-    if precision_bits < 64:
-        raise click.BadParameter("--precision-bits must be >= 64")
-    ctx.obj.update(
-        prec=PrecisionContext(bits=precision_bits),
-        format=fmt,
-        seed=int(seed),
-        precision_bits=int(precision_bits),
-    )
+    ctx.obj.update(format=fmt, seed=int(seed))
 
 
 def _dist_summary(dist) -> dict:
@@ -421,7 +411,7 @@ def bonf_dist_cmd(obj, n, alpha, theta, uniform_, gamma, poisson_, tail_tol):
     if gamma is not None and poisson_:
         raise InputError("--gamma and --poisson are mutually exclusive")
     if gamma is not None:
-        dist = bonferroni_pmf_copula(setup, gamma, obj["prec"], tail_tol)
+        dist = bonferroni_pmf_copula(setup, gamma, tail_tol)
         model = "gumbel-copula"
     elif poisson_:
         dist = bonferroni_poisson(setup, tail_tol)
@@ -432,7 +422,6 @@ def bonf_dist_cmd(obj, n, alpha, theta, uniform_, gamma, poisson_, tail_tol):
     config = {
         "n": n, "alpha": alpha, "theta": list(marginal.coeffs),
         "gamma": gamma, "poisson": poisson_, "tail_tol": tail_tol,
-        "precision_bits": obj["precision_bits"],
     }
     result = {
         "model": model,
@@ -440,6 +429,8 @@ def bonf_dist_cmd(obj, n, alpha, theta, uniform_, gamma, poisson_, tail_tol):
         **_dist_summary(dist),
         "pmf": list(dist.pmf),
     }
+    if dist.quadrature_disagreement is not None:
+        result["quadrature_disagreement"] = dist.quadrature_disagreement
     rows = [(k, dist.pmf[k]) for k in range(dist.k_max + 1)]
     _emit(obj, "bonf-dist", config, result, ("pmf", ("k", "pmf"), rows))
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp, mpf, workprec
 
 from .errors import InputError, NumericError
 from .psi_dist import (
@@ -85,6 +84,9 @@ class CountDistribution:
 
     The invariant sum(pmf) + tail_mass = 1 holds to 1e-9 by construction;
     a violation signals a numerics bug upstream and raises.
+    ``quadrature_disagreement`` is set by laws computed by quadrature (the
+    Gumbel copula): the largest relative difference between the last two
+    grids, an estimate of the error and not a bound.
     """
 
     setup: TestingSetup
@@ -92,6 +94,7 @@ class CountDistribution:
     k_max: int
     tail_mass: float
     precision_bits: int = 0
+    quadrature_disagreement: float | None = None
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
@@ -250,21 +253,37 @@ def _step_down_logs(setup: TestingSetup, cap: int):
     return log_u, log_falling + log_h + n * b[:-1] + survive
 
 
-def u_k(setup: TestingSetup, k: int):
-    """The k-fold staircase integral U_k, U_0 = 1 and U_1 = Psi(alpha/n).
+def u_k(setup: TestingSetup, k: int) -> float:
+    """log U_k, the log of the k-fold staircase integral (U_0 = 1 and
+    U_1 = Psi(alpha/n)).
 
-    Returns an extended-precision value built from the double-precision
-    log, because U_k leaves double range for large k (U_400 is about
-    1e-1598 in the TCGA setup).
+    The log is returned because U_k leaves double range for large k
+    (U_400 is about 1e-1598 in the TCGA setup).
     """
     if not 0 <= k <= setup.n:
         raise InputError(f"k must lie in [0, n], got {k}")
-    return mp.exp(_step_down_logs(setup, k)[0][k])
+    return float(_step_down_logs(setup, k)[0][k])
 
 
 # A double-precision cumulative sum cannot resolve a remaining mass much
 # below K * 2^-53, so smaller tolerances would run the pmf out to k = n.
 _BH_TAIL_TOL_MIN = 1e-12
+
+
+def _check_cumsum_tail_tol(tail_tol: float, what: str) -> None:
+    """:func:`_check_tail_tol`, plus the floor of a pmf cut where its
+    cumulative sum reaches 1 - tail_tol."""
+    _check_tail_tol(tail_tol)
+    if tail_tol < _BH_TAIL_TOL_MIN:
+        raise InputError(
+            f"tail_tol must be >= {_BH_TAIL_TOL_MIN} for {what}, got {tail_tol!r}"
+        )
+
+
+def _cut_index(pmf: np.ndarray, tail_tol: float) -> int | None:
+    """The smallest k whose cumulative mass reaches 1 - tail_tol, or None."""
+    hit = np.flatnonzero(np.cumsum(pmf) >= 1.0 - tail_tol)
+    return int(hit[0]) if hit.size else None
 
 
 def bh_pmf(setup: TestingSetup, tail_tol: float = 1e-9,
@@ -277,12 +296,7 @@ def bh_pmf(setup: TestingSetup, tail_tol: float = 1e-9,
     until the mass is reached; the cubic cost keeps the recomputed
     passes below a seventh of the last.
     """
-    _check_tail_tol(tail_tol)
-    if tail_tol < _BH_TAIL_TOL_MIN:
-        raise InputError(
-            f"tail_tol must be >= {_BH_TAIL_TOL_MIN} for the step-down pmf, "
-            f"got {tail_tol!r}"
-        )
+    _check_cumsum_tail_tol(tail_tol, "the step-down pmf")
     n = setup.n
     if k_max is not None:
         if k_max < 0:
@@ -292,9 +306,9 @@ def bh_pmf(setup: TestingSetup, tail_tol: float = 1e-9,
         cap = min(64, n)
         while True:
             pmf = np.exp(_step_down_logs(setup, cap)[1])
-            reached = np.flatnonzero(np.cumsum(pmf) >= 1.0 - tail_tol)
-            if reached.size:
-                pmf = pmf[: reached[0] + 1]
+            cut = _cut_index(pmf, tail_tol)
+            if cut is not None:
+                pmf = pmf[: cut + 1]
                 break
             if cap == n:
                 break
@@ -312,29 +326,26 @@ def bh_pmf_uniform_exact(n: int, alpha: float, k: int) -> float:
     """Uniform-null closed form
     C(n,k) (k+1)^(k-1) (alpha/n)^k (1-(k+1) alpha/n)^(n-k).
 
-    Combinatorial factors are exact integers; the remaining products run
-    in extended precision, so the float result is correctly rounded for
-    all k.  At k = n the survival factor has exponent zero and equals one
-    even when 1 - (n+1) alpha / n is negative (alpha > n/(n+1)).
+    With alpha = a/d exactly (the float's own rational value) this is the
+    integer ratio
+
+        C(n,k) (k+1)^(k-1) a^k (d n - (k+1) a)^(n-k) / (d n)^n,
+
+    and the float result is its correctly rounded quotient.  At k = n the
+    survival factor has exponent zero and equals one even when
+    1 - (n+1) alpha / n is negative (alpha > n/(n+1)).
     """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0 <= k <= n:
         raise InputError(f"k must lie in [0, n], got {k}")
-    with workprec(256):
-        r = mpf(alpha) / n
-        base = 1 - (k + 1) * r
-        if base <= 0 and k < n:
-            return 0.0
-        # (k+1)^(k-1) at k = 0 is 1, matching the exponent floor below
-        val = (
-            mpf(math.comb(n, k))
-            * mpf((k + 1) ** max(k - 1, 0))
-            * r ** k
-        )
-        if k < n:
-            val *= base ** (n - k)
-        return float(val)
+    a, d = float(alpha).as_integer_ratio()
+    base = d * n - (k + 1) * a
+    if base <= 0 and k < n:
+        return 0.0
+    # (k+1)^(k-1) at k = 0 is 1, matching the exponent floor below
+    num = math.comb(n, k) * (k + 1) ** max(k - 1, 0) * a ** k * base ** (n - k)
+    return num / (d * n) ** n
 
 
 def borel_tanner_pmf(alpha: float, k: int) -> float:

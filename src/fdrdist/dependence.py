@@ -3,16 +3,16 @@
 Two exchangeable dependence models are supported.
 
 * A Gumbel copula with parameter gamma >= 1 (gamma = 1 is independence).
-  The Bonferroni count B then follows from the order-statistic identity
-  Pr[B >= k] = Pr[p_(k) <= p*] with p* = Psi(alpha/n), expanded by
-  inclusion-exclusion over the copula diagonal:
+  By the Marshall-Olkin frailty construction the p-values are
+  independent given a positive-stable frailty S, each at or below
+  p* = Psi(alpha/n) with probability q(S) = exp(-S (-log p*)^gamma), so
+  the Bonferroni count B is a mixture of binomials:
 
-      Pr[p_(k) <= p*] = sum_{m=k..n} (-1)^(m-k) C(m-1, k-1) C(n, m)
-                        * (p*)^(m^(1/gamma)).
+      Pr[B = k] = E[Binom(k; n, q(S))].
 
-  The alternating binomial terms reach astronomical magnitudes before
-  cancelling, so the sum runs in extended precision with accurate
-  summation and the adaptive bit-doubling schedule.
+  Every term is nonnegative, so the average runs in double precision,
+  as a product quadrature rule over the two variates of Kanter's
+  construction of S, refined until two successive grids agree.
 
 * A latent fair coin selecting between parameter vectors theta+eps and
   theta-eps for all p-values at once.  The marginal law stays in the
@@ -23,22 +23,24 @@ Two exchangeable dependence models are supported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpf, workprec
 
 from .errors import ConstraintError, InputError, NumericError
-from .count_dist import CountDistribution, TestingSetup, _check_tail_tol, bh_pmf
-from .psi_dist import (
-    PrecisionContext,
-    ThetaParams,
-    _beta_mp,
-    _cdf_mp,
-    moment,
-    require_valid,
+from .count_dist import (
+    CountDistribution,
+    TestingSetup,
+    _binomial_pmf,
+    _check_cumsum_tail_tol,
+    _check_tail_tol,
+    _cut_index,
+    _stirlerr,
+    bh_pmf,
 )
+from .psi_dist import ThetaParams, cdf, moment, require_valid
 
 __all__ = [
     "Independent",
@@ -118,129 +120,244 @@ def gumbel_diagonal(p_star: float, m: int, gamma: float) -> float:
     return math.exp(m ** (1.0 / gamma) * math.log(p_star))
 
 
-def _agree(prev, cur, rel_tol: float) -> bool:
-    if len(prev) != len(cur):
-        return False
-    for a, b in zip(prev, cur):
-        scale = max(abs(a), abs(b))
-        if scale < mpf("1e-320"):
-            continue
-        if abs(a - b) > rel_tol * scale:
-            return False
-    return True
+# Frailty quadrature for the copula law.  The first grid has 32 W nodes
+# and 128 E nodes per unit of gamma - 1 (at least one unit, since the
+# integrand's width in log E shrinks as 1/(gamma - 1)); both axes double
+# until two successive grids agree entrywise.
+_GRID0 = (32, 128)
+_AGREE_RTOL = 1e-10       # relative agreement of two grids, per entry
+_AGREE_FLOOR = 1e-280     # entries below this are not compared
+_MAX_WORK = 1 << 30       # nodes times counts of the largest grid allowed
+_BLOCK = 1 << 16          # node-by-count entries evaluated at a time
+# v range of the E axis, sqrt(E) = log(1 + e^v): E from 1e-18 to 745
+_V_RANGE = (-20.7, 27.3)
+# e^-800 underflows to zero in double precision, even times n
+_LOG_TINY = -800.0
 
 
-def _stabilize(compute, prec: PrecisionContext, what: str):
-    """Run ``compute(bits)`` at doubling precision until two successive
-    results agree entrywise to rel_tol; returns (result, bits).  The
-    copula's alternating sum is the only computation that needs it."""
-    bits = prec.bits
-    prev = compute(bits)
-    while True:
-        bits *= 2
-        if bits > prec.max_bits:
-            raise NumericError(
-                f"{what} failed to stabilize to rel_tol={prec.rel_tol} "
-                f"within {prec.max_bits} bits (last level {bits // 2})"
-            )
-        cur = compute(bits)
-        if _agree(prev, cur, prec.rel_tol):
-            return cur, bits
-        prev = cur
+def _log_kanter_a(gamma: float, w: np.ndarray) -> np.ndarray:
+    """log A(W) for Kanter's construction of the positive-stable frailty,
+    S = A(W) E^-r with a = 1/gamma, r = (1-a)/a, W uniform on (0, pi) and
+    E standard exponential:
 
-
-def _copula_tail_probs(n: int, p_star_log, gamma: float, bits: int,
-                       tail_tol: float, k_cap: int, force_cap: bool):
-    """Pr[B >= k] for k = 1, 2, ... at fixed precision (list of mpf).
-
-    Stops at the first k whose tail probability falls below tail_tol
-    (or at k_cap when forced).  ``p_star_log`` is a callable returning
-    log p* at the ambient precision, so each precision level re-derives
-    p* exactly.  The binomial C(n, m) times the diagonal value is shared
-    across k; only C(m-1, k-1) is advanced per k, kept as an exact
-    integer.
+        A(W) = sin(a W) sin((1-a) W)^r / sin(W)^(1/a).
     """
-    with workprec(bits):
-        log_p = p_star_log()
-        inv_gamma = mpf(1) / gamma
-        base = [None] * (n + 1)  # C(n, m) * (p*)^(m^(1/gamma))
-        comb_n = 1
-        for m_i in range(1, n + 1):
-            comb_n = comb_n * (n - m_i + 1) // m_i
-            base[m_i] = mpf(comb_n) * mp.exp(mp.power(m_i, inv_gamma) * log_p)
-        tails = []
-        k = 0
-        while k < k_cap:
-            k += 1
-            terms = []
-            comb_small = 1  # C(m-1, k-1), advanced in m
-            for m_i in range(k, n + 1):
-                if m_i > k:
-                    comb_small = comb_small * (m_i - 1) // (m_i - k)
-                term = mpf(comb_small) * base[m_i]
-                terms.append(term if (m_i - k) % 2 == 0 else -term)
-            tails.append(mp.fsum(terms))
-            if not force_cap and tails[-1] <= tail_tol:
-                break
-        return tails
+    a = 1.0 / gamma
+    r = (1.0 - a) / a
+    return (np.log(np.sin(a * w))
+            + r * np.log(np.sin((1.0 - a) * w))
+            - np.log(np.sin(w)) / a)
+
+
+def _legendre(x: np.ndarray, n: int):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones(x.shape), x.copy()
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on (0, 1), by Newton's method on
+    the recurrence from the asymptotic nodes cos(pi (i - 1/4) / (n + 1/2)).
+    Cached, read-only arrays.  numpy's leggauss solves an eigenproblem
+    instead: its end weights are 6e-8 off at n = 2048 (these are within
+    1e-10), and its first LAPACK call starts a thread pool."""
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(x, n)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    dp = _legendre(x, n)[1]
+    t, w = 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _frailty_rule(gamma: float, n_w: int, n_e: int):
+    """Both axes of the product rule for E[f(S)], normalized to weight 1.
+
+    W axis: Gauss-Legendre in t with W = pi (1 - t^6), t with density
+    6 t^5 on (0, 1).  This clusters nodes at W = pi, where A(W) blows up;
+    for gamma near 1, S leaves 1 only where pi - W is of order
+    gamma - 1, and the sixth power puts nodes there down to
+    gamma - 1 = 1e-12 (the square reaches only to about 1e-6).
+    E axis: trapezoid rule in v with sqrt(E) = log(1 + e^v), log-spaced
+    for small E and spaced in sqrt(E) for large E, where the e^-E factor
+    makes the integrand's peaks narrow as 1/sqrt(E).  Returns
+    (log A, W weights, log E, E weights).
+    """
+    t, w_t = _gauss_legendre(n_w)
+    w_w = w_t * t ** 5
+    log_a = _log_kanter_a(gamma, np.pi * (1.0 - t ** 6))
+    v = np.linspace(*_V_RANGE, n_e)
+    root = np.logaddexp(0.0, v)
+    w_e = np.exp(-root * root) * root / (1.0 + np.exp(-v))  # e^-E dE/dv / 2
+    w_e[[0, -1]] *= 0.5
+    return log_a, w_w / w_w.sum(), 2.0 * np.log(root), w_e / w_e.sum()
+
+
+def _log_comb(n: int, hi: int) -> np.ndarray:
+    """log C(n, k) for k = 0..hi (hi <= n): Stirling remainders plus
+    k log(n/k) + (n-k) log(n/(n-k)), whose terms are all nonnegative."""
+    out = np.zeros(hi + 1)
+    k = np.arange(1, min(hi, n - 1) + 1)
+    if k.size:
+        kf = k.astype(float)
+        out[k] = (_stirlerr(np.array([n]))[0] - _stirlerr(k) - _stirlerr(n - k)
+                  + kf * np.log(n / kf) - (n - kf) * np.log1p(-kf / n)
+                  - 0.5 * (math.log(2 * math.pi) + np.log(kf) + np.log1p(-kf / n)))
+    return out
+
+
+def _log1mexp(x: np.ndarray) -> np.ndarray:
+    """log(1 - e^x) for x <= 0, without cancellation at either end."""
+    with np.errstate(divide="ignore"):
+        return np.where(x > -math.log(2.0), np.log(-np.expm1(x)),
+                        np.log1p(-np.exp(x)))
+
+
+def _frailty_pmf(n: int, log_l: float, gamma: float, cap: int,
+                 n_w: int, n_e: int) -> np.ndarray:
+    """E[Binom(k; n, q(S))] for k = 0..cap on one product grid, with
+    q = exp(-S L) and log L = ``log_l``.
+
+    Nodes are taken a block at a time.  A node whose q is below e^-800
+    has all its mass at k = 0 and adds its weight there; a node whose
+    binomial is below e^-800 on all of 0..cap adds nothing.
+    """
+    log_a, w_w, log_e, w_e = _frailty_rule(gamma, n_w, n_e)
+    a = 1.0 / gamma
+    r = (1.0 - a) / a
+    k = np.arange(cap + 1.0)
+    log_c = _log_comb(n, cap)
+    out = np.zeros(cap + 1)
+    rows = max(1, _BLOCK // (cap + 1))
+    blk, tmp = np.empty((rows, cap + 1)), np.empty((rows, cap + 1))
+    for lo in range(0, n_w * n_e, rows):
+        i, j = np.divmod(np.arange(lo, min(lo + rows, n_w * n_e)), n_e)
+        w = w_w[i] * w_e[j]
+        with np.errstate(over="ignore"):
+            log_q = np.maximum(-np.exp(log_a[i] - r * log_e[j] + log_l), -1e300)
+        dead = log_q < _LOG_TINY
+        out[0] += w[dead].sum()
+        log_p = _log1mexp(np.minimum(log_q, -1e-300))  # log(1 - q)
+        top = log_c[cap] + cap * log_q + (n - cap) * log_p
+        live = (~dead & (w > 0.0)
+                & ~((np.exp(log_q) * (n + 1) > cap + 1) & (top < _LOG_TINY)))
+        m = int(np.count_nonzero(live))
+        if not m:
+            continue
+        # weights enter the exponent, so the block reduces by a plain sum
+        b, t = blk[:m], tmp[:m]
+        np.multiply.outer(log_q[live], k, out=b)
+        np.multiply.outer(log_p[live], n - k, out=t)
+        b += t
+        b += log_c
+        b += np.log(w[live])[:, None]
+        out += np.exp(b, out=b).sum(axis=0)
+    return out
+
+
+def _grid(gamma: float, level: int) -> tuple[int, int]:
+    scale = 1 << level
+    return (_GRID0[0] * scale,
+            _GRID0[1] * math.ceil(max(gamma - 1.0, 1.0)) * scale)
+
+
+def _disagreement(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest relative difference over entries where either pmf is at
+    least _AGREE_FLOOR."""
+    big = np.maximum(a, b)
+    keep = big >= _AGREE_FLOOR
+    if not keep.any():
+        return 0.0
+    return float(np.max(np.abs(a - b)[keep] / big[keep]))
 
 
 def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
-                          prec: PrecisionContext | None = None,
                           tail_tol: float = 1e-9,
                           k_max: int | None = None) -> CountDistribution:
     """Pmf of the Bonferroni count when the p-values share a Gumbel
-    copula with the setup's marginal law.
+    copula with the setup's marginal law, in double precision.
 
-    pmf[k] = Pr[B >= k] - Pr[B >= k+1].  Raw values are checked to lie
-    in [-1e-9, 1 + 1e-9] before clamping; a larger excursion signals a
-    sign or precision bug and raises instead of being hidden.
+    Marshall-Olkin frailty form: given the positive-stable frailty S
+    (Laplace transform e^-t^(1/gamma)), the p-values are independent
+    and each falls at or below p* = Psi(alpha/n) with probability
+    q = exp(-S L), L = (-log p*)^gamma, so
+
+        Pr[B = k] = E[Binom(k; n, q(S))],
+
+    an average of nonnegative terms.  S is written through Kanter's
+    construction and the average is a product rule over its two driving
+    variates (see :func:`_frailty_rule`).  Both axes double from the
+    first grid until two successive grids agree entrywise to 1e-10
+    relative; ``quadrature_disagreement`` records that difference, an
+    estimate and not a bound.  A grid with more than 2^30 node-count
+    entries raises NumericError.  At gamma = 1, S = 1 and the pmf is the
+    binomial itself.
+
+    Truncates at the smallest k whose cumulative mass reaches
+    1 - tail_tol (tail_tol >= 1e-12, as for :func:`bh_pmf`), or at an
+    explicit ``k_max``.  Without ``k_max`` the counts run to 64, doubled
+    until that mass is reached.
     """
-    if not gamma >= 1.0:
-        raise ConstraintError(f"gamma must be >= 1, got {gamma}")
-    _check_tail_tol(tail_tol)
-    prec = prec or PrecisionContext()
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise ConstraintError(f"gamma must be finite and >= 1, got {gamma}")
+    _check_cumsum_tail_tol(tail_tol, "the copula pmf")
     n = setup.n
-    beta = setup.marginal
     if k_max is not None and not 0 <= k_max <= n:
         raise InputError(f"k_max must lie in [0, n], got {k_max}")
-    # a forced k_max needs the tail at k_max + 1 for the last difference
-    k_cap = n if k_max is None else min(k_max + 1, n)
-    force = k_max is not None
-
-    def log_p_star():
-        p = _cdf_mp(mpf(setup.alpha) / n, _beta_mp(beta))
-        if p <= 0 or p >= 1:
-            raise NumericError(
-                f"p* = Psi(alpha/n) = {float(p)} leaves (0, 1); the copula "
-                "tail expansion is undefined"
-            )
-        return mp.log(p)
-
-    tails_mp, bits = _stabilize(
-        lambda b: _copula_tail_probs(n, log_p_star, gamma, b, tail_tol,
-                                     k_cap, force),
-        prec,
-        f"bonferroni_pmf_copula(n={n}, gamma={gamma})",
-    )
-    tails = [1.0] + [float(t) for t in tails_mp]  # Pr[B >= 0] = 1
-    if len(tails) == n + 1:
-        tails.append(0.0)  # full support reached: Pr[B >= n+1] = 0
-    raw = np.array([tails[k] - tails[k + 1] for k in range(len(tails) - 1)])
-    tail_mass = tails[-1]
-    bad = (raw < -1e-9) | (raw > 1 + 1e-9)
-    if np.any(bad) or tail_mass < -1e-9:
-        k_bad = int(np.argmax(bad))
+    p_star = cdf(setup.alpha / n, setup.marginal)
+    if not 0.0 < p_star < 1.0:
         raise NumericError(
-            f"copula pmf entry k={k_bad} is {raw[k_bad]!r}, outside [0, 1] "
-            "beyond tolerance"
+            f"p* = Psi(alpha/n) = {p_star} leaves (0, 1); the copula law "
+            "is undefined"
         )
+    cap = min(64, n) if k_max is None else k_max
+    log_l = gamma * math.log(-math.log(p_star))
+
+    def on_grid(level):
+        if gamma == 1.0:
+            return _binomial_pmf(n, p_star, cap)  # S = 1: a single node
+        n_w, n_e = _grid(gamma, level)
+        if n_w * n_e * (cap + 1) > _MAX_WORK:
+            raise NumericError(
+                f"bonferroni_pmf_copula(n={n}, gamma={gamma}) did not "
+                f"converge: the next grid, {n_w}x{n_e} nodes for {cap + 1} "
+                f"counts, exceeds the cap of {_MAX_WORK} entries (last "
+                f"disagreement between two grids: {disagreement:.1e})"
+            )
+        return _frailty_pmf(n, log_l, gamma, cap, n_w, n_e)
+
+    unchecked = 0.0 if gamma == 1.0 else math.inf  # one node needs no check
+    level, disagreement = 0, unchecked
+    pmf = on_grid(level)
+    while True:
+        if k_max is None and cap < n and _cut_index(pmf, tail_tol) is None:
+            # short of the mass: widen, and recheck from one level down
+            cap = min(2 * cap, n)
+            level = max(level - 1, 0)
+            pmf, disagreement = on_grid(level), unchecked
+            continue
+        if disagreement <= _AGREE_RTOL:
+            break
+        level += 1
+        prev, pmf = pmf, on_grid(level)
+        disagreement = _disagreement(prev, pmf)
+    cut = _cut_index(pmf, tail_tol) if k_max is None else None
+    if cut is not None:
+        pmf = pmf[: cut + 1]
     return CountDistribution(
         setup=setup,
-        pmf=np.clip(raw, 0.0, 1.0),
-        k_max=len(raw) - 1,
-        tail_mass=max(tail_mass, 0.0),
-        precision_bits=bits,
+        pmf=pmf,
+        k_max=len(pmf) - 1,
+        tail_mass=max(float(1.0 - pmf.sum()), 0.0),
+        precision_bits=53,
+        quadrature_disagreement=disagreement,
     )
 
 

@@ -20,6 +20,6 @@ class ConstraintError(FdrDistError, ValueError):
 
 
 class NumericError(FdrDistError, ArithmeticError):
-    """A computation failed to stabilize: precision cap exceeded,
-    root search did not converge, or a probability left [0, 1] by more
-    than tolerance."""
+    """A computation failed: a quadrature that did not converge within
+    its node cap, a quantile that missed its tolerance, or a probability
+    that left [0, 1] by more than tolerance."""

@@ -21,12 +21,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp, mpf, workprec
 
 from .errors import ConstraintError, InputError, NumericError
 
 __all__ = [
-    "PrecisionContext",
     "ThetaParams",
     "BetaParams",
     "ValidationReport",
@@ -42,35 +40,6 @@ __all__ = [
     "pi0_estimate",
     "random_theta",
 ]
-
-
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Working-precision policy for the extended-precision code paths.
-
-    Attributes
-    ----------
-    bits : int
-        Starting mantissa precision in bits.  Must be >= 64.
-    rel_tol : float
-        Per-entry relative agreement required between two successive
-        precision levels before a result is accepted.
-    max_bits : int
-        Hard cap for the doubling schedule; exceeding it raises
-        :class:`~fdrdist.errors.NumericError`.
-    """
-
-    bits: int = 256
-    rel_tol: float = 1e-12
-    max_bits: int = 16384
-
-    def __post_init__(self):
-        if self.bits < 64:
-            raise InputError(f"precision bits must be >= 64, got {self.bits}")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise InputError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_bits < self.bits:
-            raise InputError("max_bits must be >= bits")
 
 
 def _as_coeff_tuple(coeffs, order: int, what: str) -> tuple:
@@ -261,8 +230,8 @@ def validate_theta(theta: ThetaParams) -> ValidationReport:
         violations.append(f"theta_{I} > 0")
     if not violations:
         vals = density(_GRID, theta)
-        if np.any(vals < 0.0):
-            p_bad = _GRID[int(np.argmax(vals < 0.0))]
+        if np.any(vals < -_BOUND_SLACK):
+            p_bad = _GRID[int(np.argmax(vals < -_BOUND_SLACK))]
             violations.append(f"density < 0 near p = {p_bad:.3e}")
         elif np.any(np.diff(vals) > 1e-12 * np.abs(vals[1:])):
             idx = int(np.argmax(np.diff(vals) > 1e-12 * np.abs(vals[1:])))
@@ -322,12 +291,12 @@ def density(p, theta: ThetaParams):
     return float(out) if np.isscalar(p) else out
 
 
-def cdf(p, theta: ThetaParams, prec: PrecisionContext | None = None):
+def cdf(p, theta: ThetaParams):
     """CDF Psi_I(p | beta) = p * sum_j beta_j (-log p)^j.
 
     Accepts a scalar or an array on [0, 1].  Inputs below 1e-300 are
-    evaluated in extended precision to avoid double underflow in the
-    p * polynomial product.
+    evaluated as exp(-x + log B(x)), x = -log p and B the polynomial, so
+    the product is never formed from a subnormal p.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
@@ -335,58 +304,16 @@ def cdf(p, theta: ThetaParams, prec: PrecisionContext | None = None):
     beta = _beta_poly(theta)
     with np.errstate(divide="ignore"):
         x = -np.log(arr)
-    out = np.where(arr > 0.0, arr * _horner(beta, np.where(arr > 0.0, x, 1.0)), 0.0)
-    out = np.clip(out, 0.0, 1.0)
-    tiny = (arr > 0.0) & (arr < 1e-300)
+    pos = arr > 0.0
+    xs = np.where(pos, x, 1.0)
+    poly = _horner(beta, xs)
+    out = np.where(pos, arr * poly, 0.0)
+    tiny = pos & (arr < 1e-300)
     if np.any(tiny):
-        bits = (prec or PrecisionContext()).bits
-        flat = np.atleast_1d(out)
-        for idx in np.flatnonzero(np.atleast_1d(tiny)):
-            flat[idx] = float(
-                _cdf_mp(mpf(float(np.atleast_1d(arr)[idx])), _beta_mp(theta), bits)
-            )
-        out = flat.reshape(np.shape(out))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(tiny, np.exp(np.log(poly) - xs), out)
+    out = np.clip(out, 0.0, 1.0)
     return float(out) if np.isscalar(p) else out
-
-
-def _beta_mp(theta: ThetaParams) -> list:
-    """[beta_0, ..., beta_I] as exact-from-float mpf values at ambient
-    precision; factorial ratios are exact integers."""
-    I = theta.order
-    out = [mpf(1)]
-    for j in range(1, I + 1):
-        b = mpf(0)
-        for i in range(j, I + 1):
-            b += mpf(theta.coeffs[i - 1]) * (math.factorial(i) // math.factorial(j))
-        out.append(b)
-    return out
-
-
-def _cdf_mp(p, beta_mp: list, bits: int | None = None):
-    """Extended-precision CDF evaluation; clamps into [0, 1].
-
-    Runs at the ambient mpmath precision unless ``bits`` is given.
-    """
-    def _eval():
-        if p <= 0:
-            return mpf(0)
-        if p >= 1:
-            return mpf(1)
-        x = -mp.log(p)
-        acc = mpf(0)
-        for b in reversed(beta_mp):
-            acc = acc * x + b
-        val = p * acc
-        if val < 0:
-            return mpf(0)
-        if val > 1:
-            return mpf(1)
-        return val
-
-    if bits is None:
-        return _eval()
-    with workprec(bits):
-        return +_eval()
 
 
 _QUANTILE_X_MAX = 745.0  # -log of the smallest positive double

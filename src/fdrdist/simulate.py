@@ -29,6 +29,7 @@ from .dependence import (
     GumbelCopula,
     Independent,
     Latent,
+    _log_kanter_a,
     perturbed_pair,
 )
 
@@ -101,12 +102,7 @@ def _kanter(gamma: float, w: np.ndarray, e: np.ndarray) -> np.ndarray:
     if gamma == 1.0:
         return np.ones(w.shape)
     a = 1.0 / gamma
-    r = (1.0 - a) / a
-    log_s = (np.log(np.sin(a * w))
-             + r * np.log(np.sin((1.0 - a) * w))
-             - np.log(np.sin(w)) / a
-             - r * np.log(e))
-    return np.exp(log_s)
+    return np.exp(_log_kanter_a(gamma, w) - (1.0 - a) / a * np.log(e))
 
 
 def _transform_uniform_chunk(u: np.ndarray, theta: ThetaParams) -> np.ndarray:

