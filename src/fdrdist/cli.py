@@ -2,9 +2,10 @@
 
 Every subcommand emits a machine-readable document (JSON by default,
 CSV with --csv) that embeds the fully resolved configuration, so a run
-can be reproduced from its own output.  Numeric values serialize at 17
-significant digits in both formats; the CSV carries scalars as
-"# key=value" comment lines above the table.
+can be reproduced from its own output.  JSON writes each float as its
+shortest round-trip repr and CSV as %.17g; both parse back to the same
+double.  The CSV carries scalars as "# key=value" comment lines above
+the table.
 
 Exit codes: 0 success, 2 bad input (flags, files, malformed values),
 3 numeric failure (a quadrature or root that did not converge), 4
@@ -13,7 +14,6 @@ infeasible parameters (outside the valid coefficient region).
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import sys
@@ -21,7 +21,7 @@ import sys
 import click
 import numpy as np
 
-from .errors import ConstraintError, InputError, NumericError
+from .errors import FdrDistError, InputError
 from .psi_dist import ThetaParams, cdf
 from .count_dist import (
     TestingSetup,
@@ -50,32 +50,6 @@ from .simulate import (
     empirical_count_distribution,
 )
 
-_EXIT_CODES = ((InputError, 2), (NumericError, 3), (ConstraintError, 4))
-
-
-def _handle_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except (InputError, NumericError, ConstraintError) as exc:
-            for klass, code in _EXIT_CODES:
-                if isinstance(exc, klass):
-                    click.echo(f"error: {exc}", err=True)
-                    sys.exit(code)
-            raise
-
-    return wrapper
-
-
-def _g17(value):
-    """Round-trip floats through 17 significant digits so JSON and CSV
-    agree bit for bit."""
-    if isinstance(value, float):
-        return float("%.17g" % value)
-    return value
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -90,12 +64,12 @@ def _clean(obj):
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     if isinstance(obj, np.floating):
-        return _g17(float(obj))
+        return float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_clean(v) for v in obj.tolist()]
-    return _g17(obj)
+    return obj
 
 
 def _emit(ctx_obj, command: str, config: dict, result: dict,
@@ -129,7 +103,7 @@ def _emit(ctx_obj, command: str, config: dict, result: dict,
         _, columns, rows = table
         out.write(",".join(columns) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(_g17(v)) for v in row) + "\n")
+            out.write(",".join(_fmt(v) for v in row) + "\n")
     click.echo(out.getvalue(), nl=False)
 
 
@@ -147,9 +121,7 @@ def _parse_floats(ctx, param, value):
 
 def _parse_ints(ctx, param, value):
     floats = _parse_floats(ctx, param, value)
-    if floats is None:
-        return None
-    if any(v != int(v) for v in floats):
+    if not all(v.is_integer() for v in floats):
         raise click.BadParameter(f"expected integers, got {value}")
     return tuple(int(v) for v in floats)
 
@@ -257,24 +229,49 @@ def _resolve_theta(theta, uniform_) -> ThetaParams:
     return ThetaParams.uniform() if uniform_ else ThetaParams(len(theta), theta)
 
 
-_file_options = [
-    click.option("--column", default=None,
-                 help="Column name or 0-based index for delimited files."),
-    click.option("--delimiter", default=None,
-                 help="Field delimiter for delimited files [default: ,]."),
-]
+_OPTIONS = {
+    "n": click.option("--n", required=True, type=int,
+                      help="Number of tests."),
+    "alpha": click.option("--alpha", required=True, type=float,
+                          help="FDR level."),
+    "theta": click.option("--theta", callback=_parse_floats, default=None,
+                          help="Comma-separated coefficients theta_1..theta_I."),
+    "uniform": click.option("--uniform", "uniform_", is_flag=True,
+                            help="Uniform marginal (order 0)."),
+    "tail_tol": click.option("--tail-tol", default=1e-9, show_default=True,
+                             type=float,
+                             help="Mass allowed beyond the truncation point."),
+    "column": click.option("--column", default=None,
+                           help="Column name or 0-based index for delimited files."),
+    "delimiter": click.option("--delimiter", default=None,
+                              help="Field delimiter for delimited files [default: ,]."),
+}
 
 
-def _add_options(options):
+def _options(*names):
+    """Apply the named ``_OPTIONS`` entries, first name listed first."""
     def deco(f):
-        for opt in reversed(options):
-            f = opt(f)
+        for name in reversed(names):
+            f = _OPTIONS[name](f)
         return f
 
     return deco
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group.  A package error raised by a command prints its
+    message and exits with the error's code; ``sys.exit`` raises
+    SystemExit, so in-process callers see the code as well."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FdrDistError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(exc.exit_code)
+
+
+@click.group(cls=_Main)
 @click.option("--json", "fmt", flag_value="json", default=True,
               help="JSON output (default).")
 @click.option("--csv", "fmt", flag_value="csv", help="CSV output.")
@@ -289,8 +286,16 @@ def main(ctx, fmt, seed):
     ctx.obj.update(format=fmt, seed=int(seed))
 
 
-def _dist_summary(dist) -> dict:
-    return {
+def _emit_pmf(obj, command: str, config: dict, dist, head: dict, tail: dict,
+              columns: dict):
+    """Write the document of one count distribution.
+
+    The result holds ``head``, the distribution's summary, ``tail``, the
+    pmf and, for a quadrature law, its disagreement.  The CSV body is the
+    k, pmf table with ``columns`` (name: one value per k) appended.
+    """
+    result = {
+        **head,
         "mean": dist.mean(),
         "sd": dist.sd(),
         "pr_zero": dist.prob(0),
@@ -298,7 +303,14 @@ def _dist_summary(dist) -> dict:
         "tail_mass": dist.tail_mass,
         "mean_error_bound": dist.mean_error_bound(),
         "precision_bits": dist.precision_bits,
+        **tail,
+        "pmf": list(dist.pmf),
     }
+    if dist.quadrature_disagreement is not None:
+        result["quadrature_disagreement"] = dist.quadrature_disagreement
+    rows = [(k, p, *(col[k] for col in columns.values()))
+            for k, p in enumerate(dist.pmf)]
+    _emit(obj, command, config, result, ("pmf", ("k", "pmf", *columns), rows))
 
 
 @main.command("fit")
@@ -307,9 +319,8 @@ def _dist_summary(dist) -> dict:
               help="Fit this fixed order instead of selecting one.")
 @click.option("--max-order", default=6, show_default=True, type=int,
               help="Largest order tried by the selection sweep.")
-@_add_options(_file_options)
+@_options("column", "delimiter")
 @click.pass_obj
-@_handle_errors
 def fit_cmd(obj, file, order, max_order, column, delimiter):
     """Maximum-likelihood fit of the p-value density family to FILE."""
     values, lines, skipped = read_pvalues(file, column, delimiter)
@@ -353,18 +364,10 @@ def fit_cmd(obj, file, order, max_order, column, delimiter):
 
 
 @main.command("bh-dist")
-@click.option("--n", required=True, type=int, help="Number of tests.")
-@click.option("--alpha", required=True, type=float, help="FDR level.")
-@click.option("--theta", callback=_parse_floats, default=None,
-              help="Comma-separated coefficients theta_1..theta_I.")
-@click.option("--uniform", "uniform_", is_flag=True,
-              help="Uniform marginal (order 0).")
-@click.option("--tail-tol", default=1e-9, show_default=True, type=float,
-              help="Mass allowed beyond the truncation point.")
+@_options("n", "alpha", "theta", "uniform", "tail_tol")
 @click.option("--k-max", default=None, type=int,
               help="Force the pmf out to this k regardless of tail mass.")
 @click.pass_obj
-@_handle_errors
 def bh_dist_cmd(obj, n, alpha, theta, uniform_, tail_tol, k_max):
     """Exact distribution of the step-down discovery count."""
     marginal = _resolve_theta(theta, uniform_)
@@ -377,32 +380,22 @@ def bh_dist_cmd(obj, n, alpha, theta, uniform_, tail_tol, k_max):
         "n": n, "alpha": alpha, "theta": list(marginal.coeffs),
         "tail_tol": tail_tol, "k_max_forced": k_max,
     }
-    result = {
-        **_dist_summary(dist),
+    tail = {
         "normal_mu": approx.mu,
         "normal_sigma": approx.sigma,
         "borel_param": bt_param,
-        "pmf": list(dist.pmf),
     }
-    rows = [(k, dist.pmf[k], bt[k]) for k in range(dist.k_max + 1)]
-    _emit(obj, "bh-dist", config, result,
-          ("pmf", ("k", "pmf", "borel_tanner_pmf"), rows))
+    _emit_pmf(obj, "bh-dist", config, dist, {}, tail, {"borel_tanner_pmf": bt})
 
 
 @main.command("bonf-dist")
-@click.option("--n", required=True, type=int, help="Number of tests.")
-@click.option("--alpha", required=True, type=float, help="FDR level.")
-@click.option("--theta", callback=_parse_floats, default=None,
-              help="Comma-separated coefficients theta_1..theta_I.")
-@click.option("--uniform", "uniform_", is_flag=True,
-              help="Uniform marginal (order 0).")
+@_options("n", "alpha", "theta", "uniform")
 @click.option("--gamma", default=None, type=float,
               help="Gumbel copula parameter (>= 1); omit for independence.")
 @click.option("--poisson", "poisson_", is_flag=True,
               help="Use the large-n Poisson limit instead of the binomial.")
-@click.option("--tail-tol", default=1e-9, show_default=True, type=float)
+@_options("tail_tol")
 @click.pass_obj
-@_handle_errors
 def bonf_dist_cmd(obj, n, alpha, theta, uniform_, gamma, poisson_, tail_tol):
     """Distribution of the Bonferroni count (binomial, Poisson limit,
     or Gumbel-copula dependent)."""
@@ -423,24 +416,14 @@ def bonf_dist_cmd(obj, n, alpha, theta, uniform_, gamma, poisson_, tail_tol):
         "n": n, "alpha": alpha, "theta": list(marginal.coeffs),
         "gamma": gamma, "poisson": poisson_, "tail_tol": tail_tol,
     }
-    result = {
-        "model": model,
-        "p_star": cdf(alpha / n, marginal),
-        **_dist_summary(dist),
-        "pmf": list(dist.pmf),
-    }
-    if dist.quadrature_disagreement is not None:
-        result["quadrature_disagreement"] = dist.quadrature_disagreement
-    rows = [(k, dist.pmf[k]) for k in range(dist.k_max + 1)]
-    _emit(obj, "bonf-dist", config, result, ("pmf", ("k", "pmf"), rows))
+    head = {"model": model, "p_star": cdf(alpha / n, marginal)}
+    _emit_pmf(obj, "bonf-dist", config, dist, head, {}, {})
 
 
 @main.command("count")
 @click.argument("file", type=click.Path())
-@click.option("--alpha", required=True, type=float, help="FDR level.")
-@_add_options(_file_options)
+@_options("alpha", "column", "delimiter")
 @click.pass_obj
-@_handle_errors
 def count_cmd(obj, file, alpha, column, delimiter):
     """Observed discovery counts for the p-values in FILE."""
     values, _, skipped = read_pvalues(file, column, delimiter)
@@ -458,8 +441,7 @@ def count_cmd(obj, file, alpha, column, delimiter):
 
 
 @main.command("dependent")
-@click.option("--n", required=True, type=int, help="Number of tests.")
-@click.option("--alpha", required=True, type=float, help="FDR level.")
+@_options("n", "alpha")
 @click.option("--theta", callback=_parse_floats, required=True,
               help="Comma-separated coefficients theta_1..theta_I.")
 @click.option("--eps", callback=_parse_floats, default=None,
@@ -468,26 +450,22 @@ def count_cmd(obj, file, alpha, column, delimiter):
               help="Perturbation scale; eps = z * sigma.")
 @click.option("--sigma", callback=_parse_floats, default=None,
               help="Base vector multiplied by --z.")
-@click.option("--tail-tol", default=1e-9, show_default=True, type=float)
+@_options("tail_tol")
 @click.pass_obj
-@_handle_errors
 def dependent_cmd(obj, n, alpha, theta, eps, z, sigma, tail_tol):
     """Step-down count distribution under the latent fair-coin model."""
     marginal = ThetaParams(len(theta), theta)
     if eps is not None and (z is not None or sigma is not None):
         raise InputError("--eps and --z/--sigma are mutually exclusive")
-    if eps is None:
-        if z is None or sigma is None:
-            raise InputError("supply either --eps or both --z and --sigma")
-        if len(sigma) != len(theta):
-            raise InputError(
-                f"--sigma has length {len(sigma)}, --theta has {len(theta)}"
-            )
-        eps = tuple(z * s for s in sigma)
-    elif len(eps) != len(theta):
+    if eps is None and (z is None or sigma is None):
+        raise InputError("supply either --eps or both --z and --sigma")
+    flag, vector = ("--eps", eps) if sigma is None else ("--sigma", sigma)
+    if len(vector) != len(theta):
         raise InputError(
-            f"--eps has length {len(eps)}, --theta has {len(theta)}"
+            f"{flag} has length {len(vector)}, --theta has {len(theta)}"
         )
+    if eps is None:
+        eps = tuple(z * s for s in sigma)
     setup = TestingSetup(n, alpha, marginal)
     dist = latent_bh_pmf(setup, eps, tail_tol)
     config = {
@@ -496,13 +474,8 @@ def dependent_cmd(obj, n, alpha, theta, eps, z, sigma, tail_tol):
         "sigma": None if sigma is None else list(sigma),
         "tail_tol": tail_tol,
     }
-    result = {
-        **_dist_summary(dist),
-        "correlation": latent_pvalue_correlation(marginal, eps),
-        "pmf": list(dist.pmf),
-    }
-    rows = [(k, dist.pmf[k]) for k in range(dist.k_max + 1)]
-    _emit(obj, "dependent", config, result, ("pmf", ("k", "pmf"), rows))
+    tail = {"correlation": latent_pvalue_correlation(marginal, eps)}
+    _emit_pmf(obj, "dependent", config, dist, {}, tail, {})
 
 
 @main.command("power")
@@ -517,9 +490,8 @@ def dependent_cmd(obj, n, alpha, theta, eps, z, sigma, tail_tol):
               help="Comma-separated subject sample sizes to evaluate.")
 @click.option("--z-list", callback=_parse_floats, required=True,
               help="Comma-separated dependence levels (eps = z * theta(N)).")
-@click.option("--tail-tol", default=1e-9, show_default=True, type=float)
+@_options("tail_tol")
 @click.pass_obj
-@_handle_errors
 def power_cmd(obj, theta, pilot_n, n_tests, alpha, n_list, z_list, tail_tol):
     """Power table over subject sample sizes and dependence levels."""
     pilot = ThetaParams(len(theta), theta)
@@ -531,35 +503,21 @@ def power_cmd(obj, theta, pilot_n, n_tests, alpha, n_list, z_list, tail_tol):
         "n_list": list(n_list), "z_list": list(z_list),
         "tail_tol": tail_tol,
     }
+    columns = ("N", "z", "correlation", "expected_bh", "prob_bh_positive",
+               "expected_bh_error")
     rows = [
         (r.n_subjects, r.z, r.correlation, r.expected_bh,
          r.prob_bh_positive, r.expected_bh_error)
         for r in grid.rows
     ]
-    result = {
-        "rows": [
-            {"N": r.n_subjects, "z": r.z, "correlation": r.correlation,
-             "expected_bh": r.expected_bh,
-             "prob_bh_positive": r.prob_bh_positive,
-             "expected_bh_error": r.expected_bh_error}
-            for r in grid.rows
-        ],
-    }
-    _emit(obj, "power", config, result,
-          ("rows",
-           ("N", "z", "correlation", "expected_bh", "prob_bh_positive",
-            "expected_bh_error"),
-           rows))
+    result = {"rows": [dict(zip(columns, row)) for row in rows]}
+    _emit(obj, "power", config, result, ("rows", columns, rows))
 
 
 @main.command("simulate")
-@click.option("--n", required=True, type=int, help="Tests per replicate.")
-@click.option("--alpha", required=True, type=float, help="FDR level.")
+@_options("n", "alpha")
 @click.option("--replicates", default=10000, show_default=True, type=int)
-@click.option("--theta", callback=_parse_floats, default=None,
-              help="Comma-separated coefficients theta_1..theta_I.")
-@click.option("--uniform", "uniform_", is_flag=True,
-              help="Uniform marginal (order 0).")
+@_options("theta", "uniform")
 @click.option("--gamma", default=None, type=float,
               help="Sample under a Gumbel copula with this parameter.")
 @click.option("--eps", callback=_parse_floats, default=None,
@@ -567,7 +525,6 @@ def power_cmd(obj, theta, pilot_n, n_tests, alpha, n_list, z_list, tail_tol):
 @click.option("--rule", default="bh", show_default=True,
               type=click.Choice(["bh", "bonferroni"]))
 @click.pass_obj
-@_handle_errors
 def simulate_cmd(obj, n, alpha, replicates, theta, uniform_, gamma, eps, rule):
     """Empirical count distribution from Monte Carlo replicates."""
     marginal = _resolve_theta(theta, uniform_)

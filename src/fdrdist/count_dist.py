@@ -34,6 +34,7 @@ from .psi_dist import (
     _beta_poly,
     _horner,
     cdf,
+    checked_pvalues,
     density,
     require_valid,
     theta_to_beta,
@@ -146,19 +147,6 @@ def _check_tail_tol(tail_tol: float) -> None:
         raise InputError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
 
 
-def _checked_pvalues(pvalues) -> np.ndarray:
-    arr = np.asarray(pvalues, dtype=float)
-    if arr.ndim != 1:
-        raise InputError(f"expected a flat vector of p-values, got shape {arr.shape}")
-    bad = ~np.isfinite(arr) | (arr < 0.0) | (arr > 1.0)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise InputError(
-            f"p-value at index {idx} is {arr[idx]!r}, outside [0, 1]"
-        )
-    return arr
-
-
 def bh_count(pvalues, alpha: float) -> int:
     """Step-down discovery count.
 
@@ -169,7 +157,7 @@ def bh_count(pvalues, alpha: float) -> int:
     """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
-    arr = np.sort(_checked_pvalues(pvalues))
+    arr = np.sort(checked_pvalues(pvalues))
     n = arr.size
     if n == 0:
         return 0
@@ -185,7 +173,7 @@ def bh_count_step_up(pvalues, alpha: float) -> int:
     """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
-    arr = np.sort(_checked_pvalues(pvalues))
+    arr = np.sort(checked_pvalues(pvalues))
     n = arr.size
     if n == 0:
         return 0
@@ -197,7 +185,7 @@ def bonferroni_count(pvalues, alpha: float) -> int:
     """Number of p-values at or below alpha/n (ties count as significant)."""
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
-    arr = _checked_pvalues(pvalues)
+    arr = checked_pvalues(pvalues)
     if arr.size == 0:
         return 0
     return int(np.count_nonzero(arr <= alpha / arr.size))

@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 
+def _check_gamma(gamma: float) -> None:
+    """Reject a Gumbel parameter that is not finite or below 1."""
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise ConstraintError(f"gamma must be finite and >= 1, got {gamma}")
+
+
 @dataclass(frozen=True)
 class Independent:
     """No dependence; the joint law is the product of the marginals."""
@@ -68,10 +74,7 @@ class GumbelCopula:
     gamma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
-            raise ConstraintError(
-                f"copula parameter gamma must be >= 1, got {self.gamma}"
-            )
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,7 @@ def gumbel_diagonal(p_star: float, m: int, gamma: float) -> float:
         raise InputError(f"p_star must lie in (0, 1), got {p_star}")
     if m < 1 or int(m) != m:
         raise InputError(f"m must be a positive integer, got {m}")
-    if not gamma >= 1.0:
-        raise ConstraintError(f"gamma must be >= 1, got {gamma}")
+    _check_gamma(gamma)
     return math.exp(m ** (1.0 / gamma) * math.log(p_star))
 
 
@@ -305,8 +307,7 @@ def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
     explicit ``k_max``.  Without ``k_max`` the counts run to 64, doubled
     until that mass is reached.
     """
-    if not (math.isfinite(gamma) and gamma >= 1.0):
-        raise ConstraintError(f"gamma must be finite and >= 1, got {gamma}")
+    _check_gamma(gamma)
     _check_cumsum_tail_tol(tail_tol, "the copula pmf")
     n = setup.n
     if k_max is not None and not 0 <= k_max <= n:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericError
-from .psi_dist import ThetaParams, chained_upper_bound, require_valid
+from .psi_dist import ThetaParams, chained_upper_bound, checked_pvalues, require_valid
 
 __all__ = ["FitResult", "log_likelihood", "fit", "select_order"]
 
@@ -63,27 +63,6 @@ class FitResult:
         return self.theta_hat.order
 
 
-def _checked_pvalues(pvalues) -> np.ndarray:
-    arr = np.asarray(pvalues, dtype=float).ravel()
-    if arr.size == 0:
-        raise InputError("no p-values supplied")
-    if not np.all(np.isfinite(arr)):
-        i = int(np.argmin(np.isfinite(arr)))
-        raise InputError(f"p-value at index {i} is not finite: {arr[i]!r}")
-    if np.any(arr == 0.0):
-        i = int(np.argmax(arr == 0.0))
-        raise InputError(
-            f"p-value at index {i} is exactly 0, outside the family's "
-            "domain (0, 1]; apply an explicit floor before fitting if "
-            "underflow is expected"
-        )
-    if np.any((arr < 0.0) | (arr > 1.0)):
-        bad = (arr < 0.0) | (arr > 1.0)
-        i = int(np.argmax(bad))
-        raise InputError(f"p-value at index {i} is outside [0, 1]: {arr[i]!r}")
-    return np.sort(arr)
-
-
 def _design(x: np.ndarray, order: int) -> np.ndarray:
     """Rows v with v_j = x^j - j!, so the density is 1 + v . theta."""
     return np.stack(
@@ -99,7 +78,7 @@ def _loglik(v: np.ndarray, theta: ThetaParams) -> float:
 def log_likelihood(pvalues, theta: ThetaParams) -> float:
     """Sum of log densities; -inf when the density is nonpositive at any
     observation (possible only for parameters outside the valid region)."""
-    arr = _checked_pvalues(pvalues)
+    arr = np.sort(checked_pvalues(pvalues, positive=True))
     if theta.order == 0:
         return 0.0
     return _loglik(_design(-np.log(arr), theta.order), theta)
@@ -260,7 +239,7 @@ def fit(pvalues, order: int) -> FitResult:
     """
     if order < 1:
         raise InputError(f"order must be >= 1, got {order}")
-    arr = _checked_pvalues(pvalues)
+    arr = np.sort(checked_pvalues(pvalues, positive=True))
     if arr.size < order + 5:
         raise InputError(
             f"need at least order + 5 = {order + 5} observations to fit "

@@ -78,7 +78,8 @@ def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
     """Evaluate the (N, z) grid.
 
     ``pilot`` may be a fit result (its theta_hat is used) or a parameter
-    vector.  Infeasible cells fail with the offending (N, z) named.
+    vector.  Sample sizes must be integers and z values finite and
+    nonnegative.  Infeasible cells fail with the offending (N, z) named.
     """
     theta = getattr(pilot, "theta_hat", pilot)
     if not isinstance(theta, ThetaParams):
@@ -86,12 +87,17 @@ def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
             f"pilot must be a FitResult or ThetaParams, got {type(pilot).__name__}"
         )
     _check_tail_tol(tail_tol)
-    n_values = tuple(int(v) for v in n_values)
+    n_values = tuple(n_values)
     z_values = tuple(float(v) for v in z_values)
     if not n_values or not z_values:
         raise InputError("n_values and z_values must both be nonempty")
+    if not all(float(v).is_integer() for v in n_values):
+        raise InputError(f"n values must be integers, got {n_values}")
     if any(z < 0 for z in z_values):
         raise InputError(f"z values must be nonnegative, got {z_values}")
+    if not all(math.isfinite(z) for z in z_values):
+        raise InputError(f"z values must be finite, got {z_values}")
+    n_values = tuple(int(v) for v in n_values)
     rows = []
     for n_subj in n_values:
         scaled = scale_theta(theta, n_subj, pilot_n)

@@ -30,6 +30,7 @@ __all__ = [
     "ValidationReport",
     "validate_theta",
     "require_valid",
+    "chained_upper_bound",
     "theta_to_beta",
     "beta_to_theta",
     "density",
@@ -39,6 +40,7 @@ __all__ = [
     "mix",
     "pi0_estimate",
     "random_theta",
+    "checked_pvalues",
 ]
 
 
@@ -254,6 +256,30 @@ def require_valid(theta: ThetaParams, what: str = "theta") -> ThetaParams:
     return theta
 
 
+def checked_pvalues(pvalues, positive: bool = False) -> np.ndarray:
+    """p-values as a flat float array, every entry finite and in [0, 1].
+
+    With ``positive`` the array must also be nonempty and every entry lie
+    in (0, 1], the domain of the density.  Errors name the index of the
+    first offending entry.
+    """
+    arr = np.asarray(pvalues, dtype=float)
+    if arr.ndim != 1:
+        raise InputError(f"expected a flat vector of p-values, got shape {arr.shape}")
+    if positive and not arr.size:
+        raise InputError("no p-values supplied")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InputError(f"p-value at index {i} is not finite: {arr[i]!r}")
+    bad = ((arr <= 0.0) if positive else (arr < 0.0)) | (arr > 1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        domain = "(0, 1]" if positive else "[0, 1]"
+        raise InputError(f"p-value at index {i} is {arr[i]!r}, outside {domain}")
+    return arr
+
+
 def _theta_poly(theta: ThetaParams) -> np.ndarray:
     """Coefficients [theta_0, theta_1, ..., theta_I] for Horner evaluation."""
     return np.array((theta.theta0,) + theta.coeffs, dtype=float)
@@ -277,15 +303,8 @@ def density(p, theta: ThetaParams):
     theta_0 exactly.  The caller is responsible for parameter validity.
     """
     arr = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(arr)):
-        bad = int(np.argmax(~np.isfinite(np.atleast_1d(arr))))
-        raise InputError(f"p-value at index {bad} is not finite")
-    if np.any(arr <= 0.0):
-        raise InputError(
-            "density is undefined at p <= 0 (it diverges as p -> 0)"
-        )
-    if np.any(arr > 1.0):
-        raise InputError("p-values must lie in (0, 1]")
+    if arr.size:
+        checked_pvalues(arr.reshape(-1), positive=True)
     x = -np.log(arr)
     out = _horner(_theta_poly(theta), x)
     return float(out) if np.isscalar(p) else out

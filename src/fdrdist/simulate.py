@@ -29,6 +29,7 @@ from .dependence import (
     GumbelCopula,
     Independent,
     Latent,
+    _check_gamma,
     _log_kanter_a,
     perturbed_pair,
 )
@@ -84,8 +85,7 @@ def positive_stable(gamma: float, rng: np.random.Generator, size: int) -> np.nda
     degenerates to S = 1 (independence); the two driving variates are
     still consumed so the substream layout does not depend on gamma.
     """
-    if not gamma >= 1.0:
-        raise InputError(f"gamma must be >= 1, got {gamma}")
+    _check_gamma(gamma)
     w = rng.uniform(0.0, math.pi, size)
     e = rng.exponential(1.0, size)
     return _kanter(gamma, w, e)

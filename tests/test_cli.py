@@ -294,6 +294,15 @@ def test_power_infeasible_scaling_exits_4(runner):
     assert "valid region" in result.output
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "78.5"])
+def test_power_non_integer_n_list_is_bad_input(runner, bad):
+    result = _invoke(runner, [
+        "power", "--theta", "0.0524,0.00983,0.00327", "--pilot-n", "78",
+        "--n-tests", "100", "--n-list", "78," + bad, "--z-list", "0"])
+    assert result.exit_code == 2
+    assert "expected integers" in result.output
+
+
 # --------------------------------------------------------------- simulate
 
 def test_simulate_deterministic_and_matches_library(runner):

@@ -33,6 +33,7 @@ from fdrdist import (
     latent_pvalue_correlation,
     moment,
     perturbed_pair,
+    positive_stable,
     random_theta,
 )
 
@@ -175,6 +176,19 @@ def test_copula_rejects_bad_gamma():
         bonferroni_pmf_copula(setup, 0.9)
     with pytest.raises(ConstraintError):
         bonferroni_pmf_copula(setup, math.inf)
+
+
+@pytest.mark.parametrize("gamma", [0.5, math.nan, math.inf])
+def test_every_gamma_entry_point_rejects_the_same_values(gamma):
+    checks = [
+        lambda: GumbelCopula(gamma),
+        lambda: bonferroni_pmf_copula(TestingSetup(10, 0.05), gamma),
+        lambda: gumbel_diagonal(0.5, 2, gamma),
+        lambda: positive_stable(gamma, np.random.default_rng(0), 4),
+    ]
+    for check in checks:
+        with pytest.raises(ConstraintError, match="gamma must be finite"):
+            check()
 
 
 @pytest.mark.parametrize("gamma", [1.001, 1.05, 1.3])

@@ -71,6 +71,8 @@ def test_loglik_input_errors():
         log_likelihood([0.5, 1.2], THETA_BC3)
     with pytest.raises(InputError, match="no p-values"):
         log_likelihood([], THETA_BC3)
+    with pytest.raises(InputError, match="flat vector"):
+        log_likelihood([[0.5, 0.2]], THETA_BC3)
 
 
 # ---------------------------------------------------------------- fitting

@@ -84,6 +84,12 @@ def test_grid_input_errors():
         power_table(THETA_HUANG, 78, 100, 0.05, [78], [])
     with pytest.raises(InputError, match="nonnegative"):
         power_table(THETA_HUANG, 78, 100, 0.05, [78], [-0.1])
+    with pytest.raises(InputError, match="integers, got .*78.9"):
+        power_table(THETA_HUANG, 78, 100, 0.05, [78.9], [0.0])
+    with pytest.raises(InputError, match="integers, got .*nan"):
+        power_table(THETA_HUANG, 78, 100, 0.05, [math.nan], [0.0])
+    with pytest.raises(InputError, match="finite, got .*nan"):
+        power_table(THETA_HUANG, 78, 100, 0.05, [78], [0.0, math.nan])
 
 
 @pytest.mark.parametrize("tail_tol", [0.0, 1.0, 1.5, -1e-9, math.nan])
