@@ -302,7 +302,6 @@ def _emit_pmf(obj, command: str, config: dict, dist, head: dict, tail: dict,
         "k_max": dist.k_max,
         "tail_mass": dist.tail_mass,
         "mean_error_bound": dist.mean_error_bound(),
-        "precision_bits": dist.precision_bits,
         **tail,
         "pmf": list(dist.pmf),
     }

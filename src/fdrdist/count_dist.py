@@ -24,6 +24,7 @@ live here as well.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,11 @@ __all__ = [
 ]
 
 
+def _is_whole(value) -> bool:
+    """True for an integer or a whole-valued float; NaN and inf are not."""
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
 @dataclass(frozen=True)
 class TestingSetup:
     """A simultaneous-testing configuration: n hypotheses, FDR level
@@ -70,7 +76,7 @@ class TestingSetup:
     marginal: ThetaParams = field(default_factory=ThetaParams.uniform)
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        if not _is_whole(self.n) or self.n < 1:
             raise InputError(f"n must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         if not 0.0 < self.alpha < 1.0:
@@ -94,7 +100,6 @@ class CountDistribution:
     pmf: np.ndarray
     k_max: int
     tail_mass: float
-    precision_bits: int = 0
     quadrature_disagreement: float | None = None
 
     def __post_init__(self):
@@ -306,7 +311,6 @@ def bh_pmf(setup: TestingSetup, tail_tol: float = 1e-9,
         pmf=pmf,
         k_max=len(pmf) - 1,
         tail_mass=max(float(1.0 - pmf.sum()), 0.0),
-        precision_bits=53,
     )
 
 
@@ -451,7 +455,6 @@ def _truncated(setup: TestingSetup, pmf: np.ndarray,
         pmf=pmf[: k_max + 1],
         k_max=k_max,
         tail_mass=float(above[k_max]),
-        precision_bits=53,
     )
 
 

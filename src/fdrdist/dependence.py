@@ -357,7 +357,6 @@ def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
         pmf=pmf,
         k_max=len(pmf) - 1,
         tail_mass=max(float(1.0 - pmf.sum()), 0.0),
-        precision_bits=53,
         quadrature_disagreement=disagreement,
     )
 
@@ -381,7 +380,6 @@ def latent_bh_pmf(setup: TestingSetup, eps,
         pmf=pmf,
         k_max=k_max,
         tail_mass=max(float(1.0 - pmf.sum()), 0.0),
-        precision_bits=max(dist_m.precision_bits, dist_p.precision_bits),
     )
 
 

@@ -2,14 +2,15 @@
 
 With x = -log p, an order-I density is 1 + sum_j theta_j (x^j - j!),
 linear in the coefficients, so the log-likelihood is concave.  The valid
-region used here is the chained box theta_i >= 0,
-sum_{j>=i} j! theta_j <= 1; in the mixture weights u_j = j! theta_j it
-is the simplex u >= 0, sum(u) <= 1.  One active-set Newton solve over
-that simplex, with the analytic gradient and Hessian and from a single
-interior start, reaches the global maximum, since a concave function
-has no other local maxima.  For orders >= 2 the top coefficient stays
-at or above the smallest normal float, because the order is defined by
-theta_I > 0; order 1 keeps the closed interval [0, 1].
+region, the one :func:`~fdrdist.psi_dist.validate_theta` checks at every
+order, is the chained box theta_i >= 0, sum_{j>=i} j! theta_j <= 1; in
+the mixture weights u_j = j! theta_j it is the simplex u >= 0,
+sum(u) <= 1.  One active-set Newton solve over that simplex, with the
+analytic gradient and Hessian and from a single interior start, reaches
+the global maximum, since a concave function has no other local maxima.
+For orders >= 2 the top coefficient stays at or above the smallest
+normal float, because the order is defined by theta_I > 0; order 1
+keeps the closed interval [0, 1].
 
 Standard errors come from the exact observed information, the Hessian
 sum v v^T / f^2 of the negative log-likelihood.  Coefficients within

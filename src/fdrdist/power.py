@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConstraintError, InputError
-from .psi_dist import ThetaParams, validate_theta
-from .count_dist import TestingSetup, _check_tail_tol
+from .psi_dist import ThetaParams, require_valid
+from .count_dist import TestingSetup, _check_tail_tol, _is_whole
 from .dependence import latent_bh_pmf, latent_pvalue_correlation
 
 __all__ = ["PowerRow", "PowerGrid", "scale_theta", "power_table"]
@@ -64,13 +64,7 @@ def scale_theta(pilot_theta: ThetaParams, n_subjects: int,
     scaled = ThetaParams(
         pilot_theta.order, tuple(factor * c for c in pilot_theta.coeffs)
     )
-    report = validate_theta(scaled)
-    if not report.valid:
-        raise ConstraintError(
-            f"scaling to N={n_subjects} subjects leaves the valid region: "
-            f"{report.first_violation()}"
-        )
-    return scaled
+    return require_valid(scaled, f"theta scaled to N={n_subjects} subjects")
 
 
 def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
@@ -91,7 +85,7 @@ def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
     z_values = tuple(float(v) for v in z_values)
     if not n_values or not z_values:
         raise InputError("n_values and z_values must both be nonempty")
-    if not all(float(v).is_integer() for v in n_values):
+    if not all(_is_whole(v) for v in n_values):
         raise InputError(f"n values must be integers, got {n_values}")
     if any(z < 0 for z in z_values):
         raise InputError(f"z values must be nonnegative, got {z_values}")

@@ -10,9 +10,11 @@ The order-zero member is the uniform distribution.  The CDF is
 
     Psi_I(p | beta) = p * sum_{j=0..I} beta_j * (-log p)^j,   beta_0 = 1,
 
-where beta_j = sum_{i>=j} theta_i * i!/j!.  Densities in this family are
-monotone nonincreasing and their CDFs concave whenever the coefficient
-vector lies in the valid region checked by :func:`validate_theta`.
+where beta_j = sum_{i>=j} theta_i * i!/j!.  The valid region,
+checked by :func:`validate_theta`, is the same at every order: the
+simplex u >= 0, sum(u) <= 1 in u_j = j! * theta_j.  There the density is
+a mixture of the uniform and the Gamma(j+1) laws of -log p, so it is
+nonnegative and nonincreasing in p and its CDF is concave.
 """
 
 from __future__ import annotations
@@ -146,16 +148,11 @@ def beta_to_theta(beta: BetaParams) -> ThetaParams:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of a parameter-region check.
-
-    ``method`` is "closed-form" for orders up to 4, where the region has
-    exact chained bounds, and "grid-verified, not proven" above that,
-    where only a dense numerical check is available.
-    """
+    """Outcome of :func:`validate_theta`: whether theta lies in the chained
+    box, and the inequalities it violates."""
 
     valid: bool
     violations: tuple
-    method: str
     order: int
     theta0: float
 
@@ -173,18 +170,18 @@ def chained_upper_bound(i: int, coeffs) -> float:
 # absorbs float noise on box boundaries (e.g. vectors scaled onto a bound)
 _BOUND_SLACK = 1e-12
 
-_GRID = np.logspace(-12, 0, 10_000)
-
 
 def validate_theta(theta: ThetaParams) -> ValidationReport:
-    """Check membership in the valid parameter region.
+    """Check membership in the valid parameter region, the chained box.
 
-    For orders up to 4 the region is the exact chained box: the top
-    coefficient satisfies 0 < theta_I <= 1/I! and every lower coefficient
-    satisfies 0 <= theta_i <= (1/i!)(1 - sum_{j>i} j! theta_j).  Order 1
-    keeps the closed interval 0 <= theta_1 <= 1.  For orders above 4 no
-    closed description is available and a dense log-spaced grid check of
-    positivity and monotonicity is performed instead.
+    The top coefficient satisfies 0 < theta_I <= 1/I! and every lower
+    coefficient 0 <= theta_i <= (1/i!)(1 - sum_{j>i} j! theta_j); order 1
+    keeps the closed interval 0 <= theta_1 <= 1.  In u_j = j! theta_j the
+    box is the simplex u >= 0, sum(u) <= 1, on which psi is the mixture
+    (1 - sum(u)) * 1 + sum_j u_j x^j / j! of the uniform and the
+    Gamma(j+1) laws of x = -log p: a proof, at every order, that the
+    density is nonnegative and nonincreasing in p.  Every bound but
+    theta_I > 0 is widened by 1e-12 to absorb rounding on the boundary.
 
     Returns
     -------
@@ -194,55 +191,23 @@ def validate_theta(theta: ThetaParams) -> ValidationReport:
     """
     I = theta.order
     c = theta.coeffs
-    if I == 0:
-        return ValidationReport(True, (), "closed-form", 0, 1.0)
-
     violations = []
-    if I <= 4:
-        # top coefficient: strictly positive except for the order-1 member,
-        # where the closed interval [0, 1] keeps the uniform reachable
-        top_ub = 1.0 / math.factorial(I)
-        if I == 1:
-            if not -_BOUND_SLACK <= c[0] <= 1.0 + _BOUND_SLACK:
-                violations.append("0 <= theta_1 <= 1")
-        else:
-            if not 0.0 < c[I - 1] <= top_ub + _BOUND_SLACK:
-                violations.append(
-                    f"0 < theta_{I} <= 1/{math.factorial(I)}"
-                )
-        for i in range(I - 1, 0, -1):
-            ub = chained_upper_bound(i, c)
-            if not -_BOUND_SLACK <= c[i - 1] <= ub + _BOUND_SLACK:
-                terms = " - ".join(
-                    f"{math.factorial(j)}*theta_{j}" for j in range(i + 1, I + 1)
-                )
-                violations.append(
-                    f"0 <= {math.factorial(i)}*theta_{i} <= 1 - {terms}"
-                )
-        return ValidationReport(
-            not violations, tuple(violations), "closed-form", I, theta.theta0
-        )
-
-    # order above 4: necessary sign conditions plus a dense grid check
-    if theta.theta0 < -_BOUND_SLACK:
-        violations.append("theta_0 >= 0")
-    if c[0] < -_BOUND_SLACK:
-        violations.append("theta_1 >= 0")
-    if c[I - 1] <= 0.0:
-        violations.append(f"theta_{I} > 0")
-    if not violations:
-        vals = density(_GRID, theta)
-        if np.any(vals < -_BOUND_SLACK):
-            p_bad = _GRID[int(np.argmax(vals < -_BOUND_SLACK))]
-            violations.append(f"density < 0 near p = {p_bad:.3e}")
-        elif np.any(np.diff(vals) > 1e-12 * np.abs(vals[1:])):
-            idx = int(np.argmax(np.diff(vals) > 1e-12 * np.abs(vals[1:])))
-            violations.append(
-                f"density increasing near p = {_GRID[idx]:.3e}"
+    # top coefficient: strictly positive except for the order-1 member,
+    # where the closed interval [0, 1] keeps the uniform reachable
+    if I == 1:
+        if not -_BOUND_SLACK <= c[0] <= 1.0 + _BOUND_SLACK:
+            violations.append("0 <= theta_1 <= 1")
+    elif I > 1:
+        if not 0.0 < c[I - 1] <= 1.0 / math.factorial(I) + _BOUND_SLACK:
+            violations.append(f"0 < theta_{I} <= 1/{math.factorial(I)}")
+    for i in range(I - 1, 0, -1):
+        ub = chained_upper_bound(i, c)
+        if not -_BOUND_SLACK <= c[i - 1] <= ub + _BOUND_SLACK:
+            terms = " - ".join(
+                f"{math.factorial(j)}*theta_{j}" for j in range(i + 1, I + 1)
             )
-    return ValidationReport(
-        not violations, tuple(violations), "grid-verified, not proven", I, theta.theta0
-    )
+            violations.append(f"0 <= {math.factorial(i)}*theta_{i} <= 1 - {terms}")
+    return ValidationReport(not violations, tuple(violations), I, theta.theta0)
 
 
 def require_valid(theta: ThetaParams, what: str = "theta") -> ThetaParams:
@@ -250,8 +215,7 @@ def require_valid(theta: ThetaParams, what: str = "theta") -> ThetaParams:
     report = validate_theta(theta)
     if not report.valid:
         raise ConstraintError(
-            f"{what} outside the valid parameter region: violates "
-            f"{report.first_violation()} ({report.method})"
+            f"{what} outside the valid region: violates {report.first_violation()}"
         )
     return theta
 
@@ -473,8 +437,8 @@ def random_theta(order: int, rng: np.random.Generator) -> ThetaParams:
     """Draw a coefficient vector uniformly inside the chained box.
 
     Sampling proceeds from the top coefficient down, each uniform on the
-    interval allowed by those already drawn.  For orders above 4 this
-    samples the all-nonnegative sufficient region.
+    interval allowed by those already drawn, so every draw passes
+    :func:`validate_theta`.
     """
     if order < 1:
         return ThetaParams.uniform(order)

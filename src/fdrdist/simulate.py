@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError
 from .psi_dist import ThetaParams, _quantile_array, require_valid
-from .count_dist import CountDistribution, TestingSetup
+from .count_dist import CountDistribution, TestingSetup, _is_whole
 from .dependence import (
     DependenceSpec,
     GumbelCopula,
@@ -57,14 +57,16 @@ class SimConfig:
     dependence: DependenceSpec = field(default_factory=Independent)
 
     def __post_init__(self):
-        if self.n_tests < 1:
-            raise InputError(f"n_tests must be >= 1, got {self.n_tests}")
-        if self.replicates < 1:
-            raise InputError(f"replicates must be >= 1, got {self.replicates}")
+        for name in ("n_tests", "replicates"):
+            value = getattr(self, name)
+            if not _is_whole(value) or value < 1:
+                raise InputError(f"{name} must be an integer >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0 <= int(self.seed) < _MAX_SEED:
+        if not _is_whole(self.seed) or not 0 <= self.seed < _MAX_SEED:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
         require_valid(self.marginal, "marginal")
         dep = self.dependence
         if not isinstance(dep, (Independent, GumbelCopula, Latent)):
@@ -232,7 +234,6 @@ def empirical_count_distribution(config: SimConfig,
         pmf=pmf,
         k_max=k_max,
         tail_mass=0.0,
-        precision_bits=0,
         std_errs=se,
         replicates=config.replicates,
     )

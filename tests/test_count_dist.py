@@ -246,7 +246,6 @@ def test_bh_pmf_breast_cancer_regression():
     assert dist.prob(0) == pytest.approx(0.100642, rel=1e-4)
     assert dist.tail_mass <= 1e-9
     assert dist.k_max >= 120
-    assert dist.precision_bits == 53
     assert dist.mean_error_bound() <= 1e-9 * 3226
 
 
@@ -391,6 +390,10 @@ def test_setup_validation():
         TestingSetup(10, 1.0)
     with pytest.raises(Exception):
         TestingSetup(10, 0.05, ThetaParams(3, (0.9, 0.9, 0.9)))
+    for n in (2.5, math.nan, math.inf):
+        with pytest.raises(InputError, match="positive integer"):
+            TestingSetup(n, 0.05)
+    assert TestingSetup(10.0, 0.05).n == 10
 
 
 # ------------------------------------------------------------ Borel-Tanner

@@ -158,7 +158,6 @@ def test_copula_large_n_regression():
     assert dist.prob(0) == pytest.approx(0.295329, abs=5e-5)
     assert dist.mean() == pytest.approx(
         3226 * cdf(0.05 / 3226, THETA_BC3), rel=1e-6)
-    assert dist.precision_bits == 53
 
 
 def test_copula_k_max_forcing():
@@ -250,7 +249,6 @@ def test_latent_zero_eps_collapses_to_independent(monkeypatch):
     assert len(calls) == 1
     base = bh_pmf(setup)
     assert mixture.k_max == base.k_max
-    assert mixture.precision_bits == base.precision_bits
     np.testing.assert_array_equal(mixture.pmf, base.pmf)
     assert latent_pvalue_correlation(THETA_BC3, (0.0, 0.0, 0.0)) == 0.0
 

@@ -219,7 +219,7 @@ def test_fit_satisfies_kkt_conditions(p, flags):
 def test_snap_onto_full_simplex_keeps_theta0_nonnegative():
     # an order-6 optimum with sum(u) = 1 seen in a fuzzed fit: snapping
     # theta_1 onto its chained bound left theta_0 = -2.2e-16, a negative
-    # density at p = 1 that the order-6 grid check rejects
+    # density at p = 1 that validate_theta rejects
     raw = (0.5579312537389811, 0.20026634464055168, 0.0, 0.0,
            0.00016625771251640919, 2.99793492749254e-05)
     coeffs, flags = _snap_boundaries(raw, 6)

@@ -19,6 +19,7 @@ from fdrdist import (
     ConstraintError,
     InputError,
     NumericError,
+    TestingSetup,
     ThetaParams,
     beta_to_theta,
     cdf,
@@ -136,8 +137,8 @@ def test_chained_upper_bound_shrinks():
     assert 0 < b2_tight < b2 < 0.5
 
 
-def test_high_order_grid_check_catches_negative_density():
-    # order 5 leaves the closed-form boxes; theta0 = 1 - 1.68 < 0 here
+def test_high_order_box_catches_negative_density():
+    # order 5 uses the same chained box as orders <= 4; theta0 = 1 - 1.68 < 0 here
     bad = ThetaParams(5, (0.5, 0.2, 0.05, 0.01, 0.002))
     report = validate_theta(bad)
     assert not report.valid
@@ -145,20 +146,37 @@ def test_high_order_grid_check_catches_negative_density():
         require_valid(bad, "theta")
 
 
-def test_high_order_grid_check_allows_rounding_slack():
-    # orders 5 and 6 take theta_0 down to -1e-12, as the closed-form
-    # boxes of orders <= 4 do: this theta_0 = -2.2e-16 is rounding from a
-    # fit on the boundary sum(u) = 1
+def test_high_order_box_allows_rounding_slack():
+    # orders 5 and 6 take theta_0 down to -1e-12, as orders <= 4 do: this
+    # theta_0 = -2.2e-16 is rounding from a fit on the boundary sum(u) = 1
     edge = ThetaParams(6, (0.5579312537389813, 0.20026634464055168, 0.0, 0.0,
                            0.00016625771251640919, 2.99793492749254e-05))
     assert -3e-16 < edge.theta0 < 0.0
     assert validate_theta(edge).valid
-    # a density that is clearly negative inside (0, 1) is still rejected
+    # a density that is clearly negative inside (0, 1) is still rejected,
+    # at its first negative coefficient
     bad = ThetaParams(6, (0.1, 0.0, -0.05, 0.0, 0.0, 1e-5))
     assert bad.theta0 > 0.0
     report = validate_theta(bad)
     assert not report.valid
-    assert "density < 0" in report.first_violation()
+    assert "*theta_3 <=" in report.first_violation()
+
+
+def test_high_order_density_negative_below_grid_is_rejected():
+    # theta_0 > 0 and the density is positive and decreasing on
+    # p in [1e-12, 1], but it turns negative further out: a grid over that
+    # range accepted it; the chained box rejects the negative theta_5
+    theta = ThetaParams(6, (0.0, 0.0, 0.0, 0.045, -0.00138, 5e-06))
+    assert theta.theta0 > 0.0
+    grid = np.logspace(-12, 0, 10_000)
+    vals = density(grid, theta)
+    assert np.all(vals >= 0.0) and np.all(np.diff(vals) <= 0.0)
+    assert density(math.exp(-50.0), theta) < -7e4
+    report = validate_theta(theta)
+    assert not report.valid
+    assert "theta_5" in report.first_violation()
+    with pytest.raises(ConstraintError, match="outside the valid region"):
+        TestingSetup(100, 0.05, theta)
 
 
 def test_require_valid_names_argument():
@@ -166,7 +184,7 @@ def test_require_valid_names_argument():
         require_valid(ThetaParams(3, (0.9, 0.9, 0.9)), "marginal")
 
 
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_random_theta_always_valid(order, seed):
     theta = random_theta(order, np.random.default_rng(seed))
     assert theta.order == order

@@ -70,6 +70,13 @@ def test_config_validation():
         _config(marginal=THETA_BC3, dependence=Latent((0.0, 0.0, 0.03)))
     with pytest.raises(InputError):
         _config(marginal=THETA_BC3, dependence=Latent((0.1, 0.1)))
+    for name in ("n_tests", "replicates", "seed"):
+        for bad in (2.5, math.nan, math.inf):
+            with pytest.raises(InputError, match=name):
+                _config(**{name: bad})
+    cfg = _config(n_tests=100.0, replicates=50.0, seed=7.0)
+    assert [(v, type(v)) for v in (cfg.n_tests, cfg.replicates, cfg.seed)] == [
+        (100, int), (50, int), (7, int)]
 
 
 # ---------------------------------------------------------- reproducibility
