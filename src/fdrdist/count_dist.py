@@ -61,9 +61,20 @@ __all__ = [
 ]
 
 
-def _is_whole(value) -> bool:
-    """True for an integer or a whole-valued float; NaN and inf are not."""
-    return isinstance(value, numbers.Integral) or float(value).is_integer()
+# sizes up to 2^53 convert to float exactly (and far from overflow)
+_MAX_SIZE = 2**53
+
+
+def _is_whole(value, lo: int = 1, hi: int = _MAX_SIZE) -> bool:
+    """True for an integer or a whole-valued float in [lo, hi] (by default
+    a size: 1 to 2^53); NaN and inf are not."""
+    whole = isinstance(value, numbers.Integral) or float(value).is_integer()
+    return whole and lo <= value <= hi
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -76,11 +87,10 @@ class TestingSetup:
     marginal: ThetaParams = field(default_factory=ThetaParams.uniform)
 
     def __post_init__(self):
-        if not _is_whole(self.n) or self.n < 1:
-            raise InputError(f"n must be a positive integer, got {self.n}")
+        if not _is_whole(self.n):
+            raise InputError(f"n must be a positive integer up to 2^53, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         require_valid(self.marginal, "marginal")
 
 
@@ -160,8 +170,7 @@ def bh_count(pvalues, alpha: float) -> int:
     its threshold (with p_(n+1) treated as infinite, so k = n occurs).
     Threshold comparisons are non-strict.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     arr = np.sort(checked_pvalues(pvalues))
     n = arr.size
     if n == 0:
@@ -176,8 +185,7 @@ def bh_count_step_up(pvalues, alpha: float) -> int:
     Provided as a convenience only; every distribution computation in this
     package targets the step-down rule of :func:`bh_count`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     arr = np.sort(checked_pvalues(pvalues))
     n = arr.size
     if n == 0:
@@ -188,8 +196,7 @@ def bh_count_step_up(pvalues, alpha: float) -> int:
 
 def bonferroni_count(pvalues, alpha: float) -> int:
     """Number of p-values at or below alpha/n (ties count as significant)."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     arr = checked_pvalues(pvalues)
     if arr.size == 0:
         return 0
@@ -327,8 +334,7 @@ def bh_pmf_uniform_exact(n: int, alpha: float, k: int) -> float:
     survival factor has exponent zero and equals one even when
     1 - (n+1) alpha / n is negative (alpha > n/(n+1)).
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if not 0 <= k <= n:
         raise InputError(f"k must lie in [0, n], got {k}")
     a, d = float(alpha).as_integer_ratio()
@@ -342,10 +348,7 @@ def bh_pmf_uniform_exact(n: int, alpha: float, k: int) -> float:
 
 def borel_tanner_pmf(alpha: float, k: int) -> float:
     """Limit pmf (k+1)^(k-1)/k! * alpha^k * exp(-(k+1) alpha)."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(
-            f"alpha must lie in (0, 1) for the limit law, got {alpha}"
-        )
+    _check_alpha(alpha)
     if k < 0:
         raise InputError(f"k must be >= 0, got {k}")
     logp = (
@@ -358,14 +361,12 @@ def borel_tanner_pmf(alpha: float, k: int) -> float:
 
 
 def borel_tanner_mean(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     return alpha / (1.0 - alpha)
 
 
 def borel_tanner_var(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     return alpha / (1.0 - alpha) ** 3
 
 
@@ -579,8 +580,7 @@ def normal_approx(setup: TestingSetup) -> NormalApprox:
 def borel_limit_param(theta: ThetaParams, alpha: float) -> float:
     """Parameter alpha * (beta_I + 1) of the near-zero limit component
     under top-coefficient scaling."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     beta = theta_to_beta(theta)
     top = beta.coeffs[-1] if beta.order >= 1 else 0.0
     return alpha * (top + 1.0)

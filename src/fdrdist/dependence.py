@@ -37,6 +37,7 @@ from .count_dist import (
     _check_cumsum_tail_tol,
     _check_tail_tol,
     _cut_index,
+    _is_whole,
     _stirlerr,
     bh_pmf,
 )
@@ -116,8 +117,8 @@ def gumbel_diagonal(p_star: float, m: int, gamma: float) -> float:
     evaluated in log space."""
     if not 0.0 < p_star < 1.0:
         raise InputError(f"p_star must lie in (0, 1), got {p_star}")
-    if m < 1 or int(m) != m:
-        raise InputError(f"m must be a positive integer, got {m}")
+    if not _is_whole(m):
+        raise InputError(f"m must be a positive integer up to 2^53, got {m}")
     _check_gamma(gamma)
     return math.exp(m ** (1.0 / gamma) * math.log(p_star))
 

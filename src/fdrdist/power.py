@@ -56,10 +56,9 @@ def scale_theta(pilot_theta: ThetaParams, n_subjects: int,
                 pilot_n: int) -> ThetaParams:
     """theta(N) = (N / pilot_N)^(1/2) * pilot theta, validated after
     scaling."""
-    if pilot_n < 1 or n_subjects < 1:
-        raise InputError(
-            f"sample sizes must be >= 1, got N={n_subjects}, pilot_N={pilot_n}"
-        )
+    if not (_is_whole(n_subjects) and _is_whole(pilot_n)):
+        raise InputError(f"sample sizes must lie in [1, 2^53] and be integers, "
+                         f"got N={n_subjects}, pilot_N={pilot_n}")
     factor = math.sqrt(n_subjects / pilot_n)
     scaled = ThetaParams(
         pilot_theta.order, tuple(factor * c for c in pilot_theta.coeffs)
@@ -72,8 +71,8 @@ def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
     """Evaluate the (N, z) grid.
 
     ``pilot`` may be a fit result (its theta_hat is used) or a parameter
-    vector.  Sample sizes must be integers and z values finite and
-    nonnegative.  Infeasible cells fail with the offending (N, z) named.
+    vector.  Sample sizes must be integers in [1, 2^53] and z values
+    finite and nonnegative.  Infeasible cells fail with the offending (N, z) named.
     """
     theta = getattr(pilot, "theta_hat", pilot)
     if not isinstance(theta, ThetaParams):
@@ -85,13 +84,15 @@ def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
     z_values = tuple(float(v) for v in z_values)
     if not n_values or not z_values:
         raise InputError("n_values and z_values must both be nonempty")
-    if not all(_is_whole(v) for v in n_values):
-        raise InputError(f"n values must be integers, got {n_values}")
+    if not all(_is_whole(v) for v in n_values + (pilot_n,)):
+        raise InputError(f"sample sizes must lie in [1, 2^53] and be integers, "
+                         f"got n_values={n_values}, pilot_n={pilot_n}")
     if any(z < 0 for z in z_values):
         raise InputError(f"z values must be nonnegative, got {z_values}")
     if not all(math.isfinite(z) for z in z_values):
         raise InputError(f"z values must be finite, got {z_values}")
     n_values = tuple(int(v) for v in n_values)
+    pilot_n = int(pilot_n)
     rows = []
     for n_subj in n_values:
         scaled = scale_theta(theta, n_subj, pilot_n)
@@ -115,7 +116,7 @@ def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
             ))
     return PowerGrid(
         pilot_theta=theta,
-        pilot_n=int(pilot_n),
+        pilot_n=pilot_n,
         n_tests=int(n_tests),
         alpha=float(alpha),
         n_values=n_values,

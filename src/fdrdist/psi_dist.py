@@ -153,8 +153,6 @@ class ValidationReport:
 
     valid: bool
     violations: tuple
-    order: int
-    theta0: float
 
     def first_violation(self) -> str:
         return self.violations[0] if self.violations else ""
@@ -207,7 +205,7 @@ def validate_theta(theta: ThetaParams) -> ValidationReport:
                 f"{math.factorial(j)}*theta_{j}" for j in range(i + 1, I + 1)
             )
             violations.append(f"0 <= {math.factorial(i)}*theta_{i} <= 1 - {terms}")
-    return ValidationReport(not violations, tuple(violations), I, theta.theta0)
+    return ValidationReport(not violations, tuple(violations))
 
 
 def require_valid(theta: ThetaParams, what: str = "theta") -> ThetaParams:

@@ -5,13 +5,11 @@ are drawn under the independent, latent-mixture, or Gumbel-copula models,
 the counting rules are applied per replicate, and normalized histograms
 with binomial standard errors come back as empirical distributions.
 
-Reproducibility contract: replicate r of a run with seed s consumes only
-the counter-based substream keyed by (s, r), the stream of
-``Generator(Philox(key=(s << 64) | r))``, so results are bit-identical
-regardless of chunking or evaluation order.  A run keeps one Philox and
-re-keys it per replicate (counter 0, empty buffer), which draws the same
-stream as building a new generator at a fraction of the cost.  Draw order
-within a replicate is fixed and documented on :func:`sample_pvalues`.
+Reproducibility contract: a run with seed s reads the one counter-based
+stream ``Philox(key=s)`` as doubles, m words per replicate (m is fixed by
+the model, see :func:`sample_pvalues`): row r is words [r*m, (r+1)*m).
+A chunk of rows starts its own Philox at the counter of its first word,
+so results are bit-identical regardless of chunking.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .psi_dist import ThetaParams, _quantile_array, require_valid
-from .count_dist import CountDistribution, TestingSetup, _is_whole
+from .count_dist import CountDistribution, TestingSetup, _check_alpha, _is_whole
 from .dependence import (
     DependenceSpec,
     GumbelCopula,
@@ -42,8 +40,6 @@ __all__ = [
     "empirical_count_distribution",
 ]
 
-_MAX_SEED = 2**64
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -59,12 +55,11 @@ class SimConfig:
     def __post_init__(self):
         for name in ("n_tests", "replicates"):
             value = getattr(self, name)
-            if not _is_whole(value) or value < 1:
-                raise InputError(f"{name} must be an integer >= 1, got {value}")
+            if not _is_whole(value):
+                raise InputError(f"{name} must be an integer in [1, 2^53], got {value}")
             object.__setattr__(self, name, int(value))
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not _is_whole(self.seed) or not 0 <= self.seed < _MAX_SEED:
+        _check_alpha(self.alpha)
+        if not _is_whole(self.seed, 0, 2**64 - 1):
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
         require_valid(self.marginal, "marginal")
@@ -85,7 +80,7 @@ def positive_stable(gamma: float, rng: np.random.Generator, size: int) -> np.nda
     Draws ``size`` uniforms W on (0, pi), then ``size`` standard
     exponentials E, and returns :func:`_kanter` of them.  gamma = 1
     degenerates to S = 1 (independence); the two driving variates are
-    still consumed so the substream layout does not depend on gamma.
+    still consumed, so the draws taken from ``rng`` do not depend on gamma.
     """
     _check_gamma(gamma)
     w = rng.uniform(0.0, math.pi, size)
@@ -116,14 +111,17 @@ def _transform_uniform_chunk(u: np.ndarray, theta: ThetaParams) -> np.ndarray:
 def sample_pvalues(config: SimConfig) -> np.ndarray:
     """Matrix of p-values, shape (replicates, n_tests).
 
-    Per-replicate draw order:
+    Row r is built from the m uniforms U_0..U_{m-1} at words
+    [r*m, (r+1)*m) of ``Philox(key=seed)``:
 
-    * Independent: n_tests uniforms, then the marginal quantile transform.
-    * Latent: one uniform for the fair coin (< 0.5 selects theta - eps),
-      then n_tests uniforms transformed by the selected parameters.
-    * GumbelCopula: the two frailty variates of ``positive_stable(gamma,
-      rng, 1)``, then n_tests exponentials; U_i = exp(-(E_i / S)^(1/gamma))
-      before the marginal transform.
+    * Independent (m = n_tests): the marginal quantile transform of U.
+    * Latent (m = n_tests + 1): U_0 < 0.5 selects theta - eps, else
+      theta + eps; U_1.. go through the selected quantile transform.
+    * GumbelCopula (m = n_tests + 2): the frailty S is :func:`_kanter` of
+      W = pi U_0 and E = -log1p(-U_1); with E_i = -log1p(-U_{i+2}),
+      exp(-(E_i / S)^(1/gamma)) goes through the marginal transform.
+
+    Exponentials are drawn by inversion, so every row takes exactly m words.
     """
     out = np.empty((config.replicates, config.n_tests))
     for lo, hi, chunk in _iter_pvalue_chunks(config):
@@ -134,53 +132,35 @@ def sample_pvalues(config: SimConfig) -> np.ndarray:
 def _iter_pvalue_chunks(config: SimConfig):
     """Yield (lo, hi, matrix) blocks of replicates without holding the
     whole run in memory."""
-    n, reps = config.n_tests, config.replicates
-    dep = config.dependence
-    rows = _chunk_rows(n, reps)
+    n, reps, dep = config.n_tests, config.replicates, config.dependence
+    m = n + {Independent: 0, Latent: 1, GumbelCopula: 2}[type(dep)]
+    rows = _chunk_rows(m, reps)
     if isinstance(dep, Latent):
         minus, plus = perturbed_pair(config.marginal, dep.eps)
-    bg = np.random.Philox(key=0)
-    rng = np.random.Generator(bg)
-    state = bg.state  # counter 0, empty buffer, has_uint32 0
-    key = state["state"]["key"]  # little-endian words of (seed << 64) | r
-    key[1] = config.seed
-
-    def substream(r: int) -> np.random.Generator:
-        key[0] = r
-        bg.state = state
-        return rng
-
     for lo in range(0, reps, rows):
         hi = min(lo + rows, reps)
-        x = np.empty((hi - lo, n))
+        bg = np.random.Philox(key=config.seed, counter=lo * m // 4)
+        bg.random_raw(lo * m % 4)
+        u = np.random.Generator(bg).random((hi - lo, m))
         if isinstance(dep, Independent):
-            for i in range(hi - lo):
-                substream(lo + i).random(out=x[i])
-            x = _transform_uniform_chunk(x, config.marginal)
+            x = _transform_uniform_chunk(u, config.marginal)
         elif isinstance(dep, Latent):
-            coin = np.empty(hi - lo, dtype=bool)
-            for i in range(hi - lo):
-                sub = substream(lo + i)
-                coin[i] = sub.random() < 0.5
-                sub.random(out=x[i])
-            if coin.any():
-                x[coin] = _transform_uniform_chunk(x[coin], minus)
-            if (~coin).any():
-                x[~coin] = _transform_uniform_chunk(x[~coin], plus)
+            coin = u[:, 0] < 0.5
+            x = u[:, 1:]
+            x[coin] = _transform_uniform_chunk(x[coin], minus)
+            x[~coin] = _transform_uniform_chunk(x[~coin], plus)
         else:
-            w = np.empty(hi - lo)
-            e = np.empty(hi - lo)
-            for i in range(hi - lo):
-                sub = substream(lo + i)
-                w[i] = sub.uniform(0.0, math.pi)
-                e[i] = sub.exponential()
-                sub.standard_exponential(out=x[i])
-            x /= _kanter(dep.gamma, w, e)[:, None]
+            s = _kanter(dep.gamma, math.pi * u[:, 0], -np.log1p(-u[:, 1]))
+            # one contiguous copy of -U for the in-place transform below
+            x = np.negative(u[:, 2:])
+            del u
+            np.negative(np.log1p(x, out=x), out=x)
+            x /= s[:, None]
             x **= 1.0 / dep.gamma
             np.exp(np.negative(x, out=x), out=x)
             x = _transform_uniform_chunk(x, config.marginal)
-        # the rebinding above freed the uniform buffer; dropping this
-        # reference before the next allocation keeps one chunk alive
+        # the yielded matrix alone holds this chunk while the next is drawn
+        u = None
         yield lo, hi, x
         del x
 

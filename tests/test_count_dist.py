@@ -390,10 +390,12 @@ def test_setup_validation():
         TestingSetup(10, 1.0)
     with pytest.raises(Exception):
         TestingSetup(10, 0.05, ThetaParams(3, (0.9, 0.9, 0.9)))
-    for n in (2.5, math.nan, math.inf):
+    # 10**400 used to pass the integrality check and overflow in bh_pmf
+    for n in (2.5, math.nan, math.inf, 10**400, 2**53 + 1):
         with pytest.raises(InputError, match="positive integer"):
             TestingSetup(n, 0.05)
     assert TestingSetup(10.0, 0.05).n == 10
+    assert TestingSetup(2**53, 0.05).n == 2**53
 
 
 # ------------------------------------------------------------ Borel-Tanner

@@ -92,8 +92,9 @@ def test_gumbel_diagonal_domain():
         gumbel_diagonal(0.0, 2, 1.5)
     with pytest.raises(InputError):
         gumbel_diagonal(1.0, 2, 1.5)
-    with pytest.raises(InputError):
-        gumbel_diagonal(0.5, 0, 1.5)
+    for m in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(InputError, match="m must"):
+            gumbel_diagonal(0.5, m, 1.5)
     with pytest.raises(ConstraintError):
         gumbel_diagonal(0.5, 2, 0.5)
 

@@ -2,7 +2,7 @@
 handling, parameter recovery on synthetic data, and order selection.
 
 Oracles: the density evaluated directly, datasets drawn from known
-parameters by the simulation engine, a central-difference Hessian of the
+parameters through the inverse CDF, a central-difference Hessian of the
 log-likelihood for the observed-information standard errors, the KKT
 conditions of the constrained maximum, a scipy SLSQP solve of the same
 concave problem, and coverage counts.
@@ -16,22 +16,24 @@ from scipy import optimize
 from conftest import SIG_BC3, THETA_BC3
 from fdrdist import (
     InputError,
-    SimConfig,
     ThetaParams,
     density,
     fit,
     log_likelihood,
-    sample_pvalues,
     select_order,
     validate_theta,
 )
 from fdrdist.mle import _snap_boundaries
+from fdrdist.psi_dist import _quantile_array
 
 
 def _draws(theta, n, seed, replicates=1):
-    cfg = SimConfig(n_tests=n, replicates=replicates, marginal=theta,
-                    alpha=0.05, seed=seed)
-    out = sample_pvalues(cfg)
+    """Row r: n uniforms from Generator(Philox(key=(seed << 64) | r)), put
+    through the inverse CDF, so the datasets do not depend on the
+    simulation engine's stream layout."""
+    u = np.stack([np.random.Generator(np.random.Philox(key=(seed << 64) | r)).random(n)
+                  for r in range(replicates)])
+    out = _quantile_array(u, theta)
     return out[0] if replicates == 1 else out
 
 

@@ -92,6 +92,19 @@ def test_grid_input_errors():
         power_table(THETA_HUANG, 78, 100, 0.05, [78], [0.0, math.nan])
 
 
+@pytest.mark.parametrize("n_values, pilot_n, shown", [
+    ([10**400], 78, r"n_values=\(1000"),  # was OverflowError in scale_theta
+    ([78], 78.5, "pilot_n=78.5"),          # ran at 78.5, recorded pilot_n = 78
+    ([78], math.nan, "pilot_n=nan"),       # was a ThetaParams finiteness error
+    ([78], 2**53 + 1, "pilot_n=9007199254740993"),
+])
+def test_grid_rejects_sizes_outside_one_to_two_to_the_53(n_values, pilot_n, shown):
+    with pytest.raises(InputError, match=shown):
+        power_table(THETA_HUANG, pilot_n, 100, 0.05, n_values, [0.0])
+    with pytest.raises(InputError, match="sample sizes"):
+        scale_theta(THETA_HUANG, n_values[0], pilot_n)
+
+
 @pytest.mark.parametrize("tail_tol", [0.0, 1.0, 1.5, -1e-9, math.nan])
 def test_grid_rejects_tail_tol_outside_unit_interval(tail_tol):
     with pytest.raises(InputError, match="tail_tol"):

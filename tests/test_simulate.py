@@ -4,10 +4,12 @@ structure, and empirical-vs-analytic agreement.
 Oracles: the analytic moments and CDFs of the p-value family, the
 Laplace transform of the positive-stable frailty, scipy's KS test, the
 exact count pmfs from the analytic modules, a gamma-mixture sampler that
-never inverts the CDF, and per-replicate Philox generators built from
-the documented key.
+never inverts the CDF, and the documented layout: row r rebuilt from
+words [r*m, (r+1)*m) of one ``Philox(key=seed)`` stream drawn in a
+single call.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,13 +37,27 @@ from fdrdist import (
     sample_pvalues,
 )
 from fdrdist import simulate
+from fdrdist.dependence import perturbed_pair
+from fdrdist.psi_dist import _quantile_array
 
 HALF_SIG = tuple(0.5 * s for s in SIG_BC3)
 MODELS = [Independent(), GumbelCopula(1.7), Latent(HALF_SIG)]
 
 
 def _substream(seed, r):
+    """Independent per-replicate generator for the gamma-mixture oracle."""
     return np.random.Generator(np.random.Philox(key=(seed << 64) | r))
+
+
+def _stream(seed, reps, m):
+    """The run's uniforms in one call: row r is words [r*m, (r+1)*m)."""
+    return np.random.Generator(np.random.Philox(key=seed)).random((reps, m))
+
+
+def _three_row_chunks(monkeypatch):
+    # with n_tests = 101, chunks of 3 rows start at words 3m, 6m and 9m:
+    # all but 6 * 102 (latent) fall inside a Philox block of 4 words
+    monkeypatch.setattr(simulate, "_chunk_rows", lambda m, reps: 3)
 
 
 def _config(**kw):
@@ -71,9 +87,12 @@ def test_config_validation():
     with pytest.raises(InputError):
         _config(marginal=THETA_BC3, dependence=Latent((0.1, 0.1)))
     for name in ("n_tests", "replicates", "seed"):
-        for bad in (2.5, math.nan, math.inf):
+        for bad in (2.5, math.nan, math.inf, 10**400):
             with pytest.raises(InputError, match=name):
                 _config(**{name: bad})
+    for name in ("n_tests", "replicates"):
+        with pytest.raises(InputError, match=name):
+            _config(**{name: 2**53 + 1})
     cfg = _config(n_tests=100.0, replicates=50.0, seed=7.0)
     assert [(v, type(v)) for v in (cfg.n_tests, cfg.replicates, cfg.seed)] == [
         (100, int), (50, int), (7, int)]
@@ -108,22 +127,44 @@ def test_bit_identical_regardless_of_chunking(dep, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
-def test_uniform_rows_are_the_documented_substreams(seed):
-    got = sample_pvalues(_config(seed=seed, replicates=4))
-    for r in range(4):
-        np.testing.assert_array_equal(got[r], _substream(seed, r).uniform(size=100))
+def test_uniform_rows_are_the_documented_substreams(seed, monkeypatch):
+    # chunks start at words 303, 606 and 909: offsets 3, 2 and 1 in a block
+    _three_row_chunks(monkeypatch)
+    got = sample_pvalues(_config(n_tests=101, seed=seed, replicates=10))
+    np.testing.assert_array_equal(got, _stream(seed, 10, 101))
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.7])
-def test_copula_rows_use_positive_stable_frailties(gamma):
-    # per-chunk frailties equal positive_stable(gamma, rng, 1) per replicate
-    cfg = _config(seed=2**63 + 5, replicates=5, dependence=GumbelCopula(gamma))
+def test_copula_rows_use_positive_stable_frailties(gamma, monkeypatch):
+    # words 0 and 1 of a row drive positive_stable by inversion
+    # (W = pi U_0, E = -log1p(-U_1)); words 2.. are the exponentials
+    _three_row_chunks(monkeypatch)
+    cfg = _config(n_tests=101, seed=2**63 + 5, replicates=7,
+                  dependence=GumbelCopula(gamma))
     got = sample_pvalues(cfg)
-    for r in range(5):
-        rng = _substream(cfg.seed, r)
+    u = _stream(cfg.seed, 7, 103)
+    for r in range(7):
+        rng = SimpleNamespace(
+            uniform=lambda lo, hi, size, r=r: lo + (hi - lo) * u[r, :1],
+            exponential=lambda scale, size, r=r: -scale * np.log1p(-u[r, 1:2]))
         s = positive_stable(gamma, rng, 1)[0]
-        e = rng.exponential(1.0, size=100)
+        e = -np.log1p(-u[r, 2:])
         np.testing.assert_array_equal(got[r], np.exp(-((e / s) ** (1.0 / gamma))))
+
+
+def test_latent_rows_are_the_documented_words(monkeypatch):
+    # word 0 of a row is the coin (< 0.5 selects theta - eps), words 1..
+    # go through the selected inverse CDF
+    _three_row_chunks(monkeypatch)
+    cfg = _config(n_tests=101, seed=2**63 + 5, replicates=10, marginal=THETA_BC3,
+                  dependence=Latent(HALF_SIG))
+    got = sample_pvalues(cfg)
+    minus, plus = perturbed_pair(THETA_BC3, HALF_SIG)
+    u = _stream(cfg.seed, 10, 102)
+    assert 0 < np.count_nonzero(u[:, 0] < 0.5) < 10
+    for r in range(10):
+        theta = minus if u[r, 0] < 0.5 else plus
+        np.testing.assert_array_equal(got[r], _quantile_array(u[r, 1:], theta))
 
 
 def test_seed_changes_output():
