@@ -30,7 +30,6 @@ from fdrdist import (
     bh_pmf_uniform_exact,
     bonferroni_count,
     bonferroni_pmf,
-    bonferroni_pmf_copula,
     bonferroni_poisson,
     borel_limit_param,
     borel_tanner_mean,
@@ -45,7 +44,7 @@ from fdrdist import (
     u_k,
 )
 from fdrdist.count_dist import _binomial_law, _poisson_law
-from fdrdist import dependence
+from fdrdist import count_dist
 from mp_oracles import beta_mp, cdf_mp
 
 
@@ -179,8 +178,9 @@ def test_u_k_matches_staircase_oracle(theta, k):
     setup = TestingSetup(10, 0.3, theta)
     bounds = [cdf(j * setup.alpha / setup.n, setup.marginal) for j in range(1, k + 1)]
     assert math.exp(u_k(setup, k)) == pytest.approx(_staircase_volume(bounds), rel=1e-11)
-    with pytest.raises(InputError):
-        u_k(setup, 11)
+    for bad_k in (11, -1, 2.5):
+        with pytest.raises(InputError, match="k must be an integer"):
+            u_k(setup, bad_k)
 
 
 def test_u_k_uniform_closed_form():
@@ -232,6 +232,12 @@ def test_uniform_closed_form_full_mass_at_extreme_alpha():
         bh_pmf_uniform_exact(10, 0.5, 19)
     with pytest.raises(InputError):
         bh_pmf_uniform_exact(10, 1.0, 5)
+    # n is a size: a fraction, zero and NaN are rejected as such
+    for bad_n, k in ((2.5, 1), (0, 0), (math.nan, 0)):
+        with pytest.raises(InputError, match="n must be a positive integer"):
+            bh_pmf_uniform_exact(bad_n, 0.5, k)
+    with pytest.raises(InputError, match="k must be an integer"):
+        bh_pmf_uniform_exact(10, 0.5, 2.5)
     # the recursion agrees with the closed form in this corner too
     dist = bh_pmf(TestingSetup(10, 0.95), k_max=10)
     for k in range(11):
@@ -281,15 +287,6 @@ def test_pmfs_reject_tail_tol_outside_unit_interval(pmf, tail_tol):
         return
     with pytest.raises(InputError, match="tail_tol"):
         pmf(setup, tail_tol=tail_tol)
-
-
-def test_bh_pmf_rejects_unreachable_precision(monkeypatch):
-    # the copula quadrature is the one computation refined until two
-    # grids agree; with a work cap that admits only its first grid it
-    # must raise rather than return an unchecked pmf
-    monkeypatch.setattr(dependence, "_MAX_WORK", 32 * 128 * 65)
-    with pytest.raises(NumericError, match="did not converge"):
-        bonferroni_pmf_copula(TestingSetup(3226, 0.05, THETA_BC3), 1.05)
 
 
 # ------------------------------------- double precision against mpmath
@@ -568,11 +565,12 @@ def _scipy_normal_approx(setup):
     minimize_scalar for the peak of the concave gap when gap(0) <= 0,
     then brentq on the down-crossing (to 1e-15 absolute and 4 eps
     relative, so that a small mu is still found to full precision); None
-    when there is no root."""
+    when there is no root.  Psi is 1 from p = 1 on, where (mu+1) alpha / n
+    lands for mu near n when alpha > n / (n+1)."""
     n, alpha, theta = setup.n, setup.alpha, setup.marginal
 
     def gap(mu):
-        return n * cdf((mu + 1.0) * alpha / n, theta) - (mu + 1.0)
+        return n * cdf(min((mu + 1.0) * alpha / n, 1.0), theta) - (mu + 1.0)
 
     lo = 0.0
     if gap(0.0) <= 0.0:
@@ -625,22 +623,34 @@ def test_normal_approx_matches_scipy_solve(setup):
 
 
 @given(
-    st.integers(min_value=0, max_value=4),
-    st.integers(min_value=1, max_value=50_000),
-    st.floats(min_value=0.005, max_value=0.6),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=2**40),
+    st.floats(min_value=0.005, max_value=0.99),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 @example(order=2, n=2, alpha=0.3359375, seed=64138)  # mu = 0.067
+# the concave gap peaks at mu = 0 on [0, n]; alpha bisected so that the
+# peak is +1e-5 (a crossing at mu = 5.5e-5) and -1e-6 (no component).
+# At +1e-6 the crossing sits at the double-rounding floor of the gap,
+# where both solvers agree only to about 2e-10 relative.
+@example(order=2, n=300, alpha=0.026961755655817474, seed=7)
+@example(order=2, n=300, alpha=0.026961392672604806, seed=7)
 def test_normal_approx_matches_scipy_solve_random_theta(order, n, alpha, seed):
     theta = random_theta(order, np.random.default_rng(seed))
     _assert_normal_matches_scipy(TestingSetup(n, alpha, theta))
+
+
+def test_normal_approx_raises_when_newton_does_not_settle(monkeypatch):
+    monkeypatch.setattr(count_dist, "_NEWTON_STEPS", 2)
+    with pytest.raises(NumericError, match="n = 3226"):
+        normal_approx(TestingSetup(3226, 0.05, THETA_BC3))
 
 
 # ------------------------------------------------- CountDistribution type
 
 def test_count_distribution_moments_and_lookup():
     setup = TestingSetup(10, 0.05)
-    d = CountDistribution(setup, np.array([0.2, 0.5, 0.3]), 2, 0.0, 53)
+    d = CountDistribution(setup, np.array([0.2, 0.5, 0.3]), 2, 0.0)
     assert d.mean() == pytest.approx(1.1)
     assert d.var() == pytest.approx(0.49)
     assert d.sd() == pytest.approx(0.7)
@@ -657,8 +667,8 @@ def test_count_distribution_moments_and_lookup():
 def test_count_distribution_rejects_bad_mass():
     setup = TestingSetup(10, 0.05)
     with pytest.raises(NumericError):
-        CountDistribution(setup, np.array([0.2, 0.5, 0.2]), 2, 0.0, 53)
+        CountDistribution(setup, np.array([0.2, 0.5, 0.2]), 2, 0.0)
     with pytest.raises(NumericError):
-        CountDistribution(setup, np.array([-0.1, 0.8, 0.3]), 2, 0.0, 53)
+        CountDistribution(setup, np.array([-0.1, 0.8, 0.3]), 2, 0.0)
     with pytest.raises(InputError):
-        CountDistribution(setup, np.array([0.5, 0.5]), 2, 0.0, 53)
+        CountDistribution(setup, np.array([0.5, 0.5]), 2, 0.0)

@@ -22,6 +22,7 @@ from fdrdist import (
     Independent,
     InputError,
     Latent,
+    NumericError,
     TestingSetup,
     ThetaParams,
     bh_pmf,
@@ -168,6 +169,15 @@ def test_copula_k_max_forcing():
     assert cut.k_max == 5
     np.testing.assert_allclose(cut.pmf, full.pmf[:6], rtol=1e-9)
     assert cut.tail_mass == pytest.approx(1.0 - cut.pmf.sum(), abs=1e-12)
+
+
+def test_copula_raises_when_the_work_cap_admits_one_grid(monkeypatch):
+    # the copula quadrature is the one computation refined until two
+    # grids agree; with a work cap that admits only its first grid it
+    # must raise rather than return an unchecked pmf
+    monkeypatch.setattr(dependence, "_MAX_WORK", 32 * 128 * 65)
+    with pytest.raises(NumericError, match="did not converge"):
+        bonferroni_pmf_copula(TestingSetup(3226, 0.05, THETA_BC3), 1.05)
 
 
 def test_copula_rejects_bad_gamma():
