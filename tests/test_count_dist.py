@@ -190,9 +190,11 @@ def test_u_k_uniform_closed_form():
     for k in range(1, 13):
         closed = (k + 1) ** (k - 1) * a**k / math.factorial(k)
         assert math.exp(u_k(setup, k)) == pytest.approx(closed, rel=1e-12)
-    # the log stays finite far below double range
+    # far below double range the log keeps the closed form's value
     deep = TestingSetup(20068, 0.05)
-    assert u_k(deep, 400) < -3000.0
+    a = deep.alpha / deep.n
+    closed = 399 * math.log(401) + 400 * math.log(a) - math.lgamma(401)
+    assert u_k(deep, 400) == pytest.approx(closed, rel=1e-12)
 
 
 def test_factorial_identity_behind_recursion():
@@ -378,6 +380,105 @@ def test_bh_pmf_matches_alternating_oracle_strong_pilot_branch():
 def test_bh_pmf_matches_alternating_oracle_random_theta(order, n, alpha, seed):
     theta = random_theta(order, np.random.default_rng(seed))
     _assert_matches_oracle(TestingSetup(n, alpha, theta))
+
+
+# ------------------------- one capped pass against the full-kernel recursion
+
+def _full_kernel_logs(setup, cap):
+    """log Pr[K = k] for k = 0..cap from the Poissonized Noe recursion
+    with every Poisson kernel at full width and no rescaling of H."""
+    n = setup.n
+    b = cdf(np.minimum(np.arange(cap + 2) * setup.alpha / n, 1.0), setup.marginal)
+    lam = n * np.maximum(np.diff(b), 0.0)
+    m = np.arange(cap + 1)
+    log_fact = count_dist._log_factorials(cap)
+    h = np.zeros(cap + 1)
+    h[0] = 1.0
+    diag = np.ones(cap + 1)
+    for j in range(1, cap + 1):
+        width = cap + 2 - j
+        pois = count_dist._poisson_pmf(float(lam[j - 1]), log_fact[:width])
+        h[j - 1:] = np.convolve(h[j - 1:], pois)[:width]
+        diag[j] = h[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        survive = (n - m) * np.log1p(-b[1:])
+        log_h = np.log(diag)
+    survive[m == n] = 0.0
+    log_falling = np.concatenate(([0.0], np.cumsum(np.log1p(-m[:-1] / n))))
+    return log_falling + log_h + n * b[:-1] + survive
+
+
+def _full_kernel_pmf(setup, tail_tol=1e-9):
+    """The full-kernel recursion from a capacity of 64 counts, doubled
+    until the cumulative mass reaches 1 - tail_tol (or the cap is n)."""
+    cap = min(64, setup.n)
+    while True:
+        logs = _full_kernel_logs(setup, cap)
+        hit = np.flatnonzero(np.cumsum(np.exp(logs)) >= 1.0 - tail_tol)
+        if hit.size:
+            return logs[: hit[0] + 1]
+        if cap == setup.n:
+            return logs
+        cap = min(2 * cap, setup.n)
+
+
+def _pilot_cell_setups():
+    """Both latent branches of the 12 (N, z) cells of the pilot power grid."""
+    out = []
+    for n_subj in (78, 300, 450, 600):
+        scaled = scale_theta(THETA_HUANG, n_subj, 78)
+        for z in (0.0, 0.4, 0.8):
+            eps = tuple(z * c for c in scaled.coeffs)
+            out += [TestingSetup(48803, 0.05, th) for th in perturbed_pair(scaled, eps)]
+    return out
+
+
+@pytest.mark.parametrize("setup", [
+    TestingSetup(3226, 0.05, THETA_BC3),
+    TestingSetup(20068, 0.05, THETA_TCGA),
+    *_pilot_cell_setups(),
+])
+def test_bh_pmf_matches_full_kernel_recursion(setup):
+    dist = bh_pmf(setup)
+    ref = _full_kernel_pmf(setup)
+    assert dist.k_max == ref.size - 1
+    big = ref > math.log(1e-300)
+    assert np.abs(np.log(dist.pmf[big]) - ref[big]).max() <= 1e-13
+
+
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=400),
+    st.floats(min_value=0.005, max_value=0.9),
+    st.floats(min_value=-12.0, max_value=-2.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_step_down_cap_is_a_bound(order, n, alpha, log10_tol, seed):
+    # a full pass to k = n puts at most tail_tol above the a-priori cap,
+    # up to the rounding of its sum, and the capped pass cuts where it does
+    tail_tol = 10.0 ** log10_tol
+    setup = TestingSetup(n, alpha, random_theta(order, np.random.default_rng(seed)))
+    cap = count_dist._capped_thresholds(setup, tail_tol).size - 2
+    full_b = count_dist._thresholds(setup, 0, n + 2)
+    full = np.exp(count_dist._step_down_logs(n, full_b)[1])
+    assert full[cap + 1:].sum() <= tail_tol + n * 2.0**-53
+    cut = count_dist._cut_index(full, tail_tol)
+    assert bh_pmf(setup, tail_tol).k_max == (n if cut is None else cut)
+
+
+def test_bh_pmf_runs_one_pass(monkeypatch):
+    passes = []
+    real = count_dist._step_down_logs
+
+    def counted(n, b):
+        passes.append(b.size - 2)
+        return real(n, b)
+
+    monkeypatch.setattr(count_dist, "_step_down_logs", counted)
+    setup = TestingSetup(20068, 0.05, THETA_TCGA)
+    assert bh_pmf(setup).k_max == 424
+    bh_pmf(setup, k_max=30)
+    assert passes == [443, 30]
 
 
 def test_setup_validation():
@@ -599,17 +700,6 @@ def _assert_normal_matches_scipy(setup):
     else:
         assert got.mu == pytest.approx(want[0], rel=1e-10)
         assert got.sigma == pytest.approx(want[1], rel=1e-10)
-
-
-def _pilot_cell_setups():
-    """Both latent branches of the 12 (N, z) cells of the pilot power grid."""
-    out = []
-    for n_subj in (78, 300, 450, 600):
-        scaled = scale_theta(THETA_HUANG, n_subj, 78)
-        for z in (0.0, 0.4, 0.8):
-            eps = tuple(z * c for c in scaled.coeffs)
-            out += [TestingSetup(48803, 0.05, th) for th in perturbed_pair(scaled, eps)]
-    return out
 
 
 @pytest.mark.parametrize("setup", [
