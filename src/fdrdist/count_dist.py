@@ -14,8 +14,9 @@ probability, so double precision suffices and nothing cancels.
 
 The Bonferroni count is binomial under independence, with a Poisson
 large-n limit; both pmfs are evaluated with numpy alone (Loader's
-saddle-point form for the binomial) and truncated where the upper tail,
-summed from the right, falls to the tolerance.  Large-n limits (a
+saddle-point form for the binomial).  Every exact law here and in
+:mod:`fdrdist.dependence` is cut by :func:`_truncated`, where its upper
+tail, summed from the right, falls to the tolerance.  Large-n limits (a
 Borel-Tanner law near zero and a normal component away from it, centered
 by one monotone Newton solve on a concave gap) and the uniform-null
 closed form live here as well.
@@ -155,11 +156,46 @@ class CountDistribution:
         return float(self.pmf[: min(k, self.k_max) + 1].sum())
 
 
-def _check_tail_tol(tail_tol: float) -> None:
+# A double-precision sum of K entries cannot resolve a remaining mass
+# much below K * 2^-53, so a smaller tolerance could not place the cut.
+_TAIL_TOL_FLOOR = 1e-12
+
+
+def _check_tail_tol(tail_tol: float, floor_for: str | None = None) -> None:
     """Reject truncation tolerances outside (0, 1), NaN included: 0 runs
-    the pmf out to k = n, and 1 or more truncates it to nothing."""
+    the pmf out to k = n, and 1 or more truncates it to nothing.  A law
+    whose tail past its entries is 1 minus their sum, named by
+    ``floor_for``, also needs tail_tol >= _TAIL_TOL_FLOOR."""
     if not 0.0 < tail_tol < 1.0:
         raise InputError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
+    if floor_for is not None and tail_tol < _TAIL_TOL_FLOOR:
+        raise InputError(f"tail_tol must be >= {_TAIL_TOL_FLOOR} for "
+                         f"{floor_for}, got {tail_tol!r}")
+
+
+def _forced_k_max(k_max, n: int) -> int:
+    """A forced truncation point: a whole number >= 0, clamped to n."""
+    if not _is_whole(k_max, 0, math.inf):
+        raise InputError(f"k_max must be a whole number >= 0, got {k_max!r}")
+    return min(int(k_max), n)
+
+
+def _truncated(setup: TestingSetup, pmf: np.ndarray, tail_tol: float | None,
+               beyond: float | None = None,
+               quadrature_disagreement: float | None = None) -> CountDistribution:
+    """Finish an exact count law: cut pmf[0..] at the smallest k with
+    Pr[X > k] <= tail_tol, capped at n, or keep it whole when tail_tol is
+    None (a forced k_max) or no k qualifies.  Pr[X > k] is ``beyond``, the
+    mass known to lie past the entries (None: max(1 - sum, 0)), plus the
+    entries above k summed from the right, which keeps a small tail's
+    relative accuracy."""
+    if beyond is None:
+        beyond = max(1.0 - float(pmf.sum()), 0.0)
+    above = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0) + beyond  # Pr[X > k]
+    cut = np.flatnonzero(above <= tail_tol) if tail_tol is not None else ()
+    k_max = min(int(cut[0]), setup.n) if len(cut) else pmf.size - 1
+    return CountDistribution(setup, pmf[: k_max + 1], k_max, float(above[k_max]),
+                             quadrature_disagreement)
 
 
 def bh_count(pvalues, alpha: float) -> int:
@@ -283,27 +319,6 @@ def u_k(setup: TestingSetup, k: int) -> float:
     return float(_step_down_logs(setup.n, _thresholds(setup, 0, k + 2))[0][k])
 
 
-# A double-precision cumulative sum cannot resolve a remaining mass much
-# below K * 2^-53, so a smaller tolerance could not place the cut.
-_BH_TAIL_TOL_MIN = 1e-12
-
-
-def _check_cumsum_tail_tol(tail_tol: float, what: str) -> None:
-    """:func:`_check_tail_tol`, plus the floor of a pmf cut where its
-    cumulative sum reaches 1 - tail_tol."""
-    _check_tail_tol(tail_tol)
-    if tail_tol < _BH_TAIL_TOL_MIN:
-        raise InputError(
-            f"tail_tol must be >= {_BH_TAIL_TOL_MIN} for {what}, got {tail_tol!r}"
-        )
-
-
-def _cut_index(pmf: np.ndarray, tail_tol: float) -> int | None:
-    """The smallest k whose cumulative mass reaches 1 - tail_tol, or None."""
-    hit = np.flatnonzero(np.cumsum(pmf) >= 1.0 - tail_tol)
-    return int(hit[0]) if hit.size else None
-
-
 def _capped_thresholds(setup: TestingSetup, tail_tol: float) -> np.ndarray:
     """The thresholds b_0..b_{c+1} for the a-priori cap c of the
     step-down count.
@@ -338,33 +353,20 @@ def bh_pmf(setup: TestingSetup, tail_tol: float = 1e-9,
            k_max: int | None = None) -> CountDistribution:
     """Exact pmf of the step-down count, in double precision.
 
-    Truncates at the smallest k whose cumulative mass reaches
-    1 - tail_tol (hard cap k <= n), or at an explicit ``k_max``.  Without
-    ``k_max`` one recursion pass runs to the a-priori cap of
-    :func:`_capped_thresholds`, which holds all but tail_tol of the mass;
-    should rounding leave the cumulative sum short, the pmf is kept to
-    the cap.  The cap also gives the cost before any work: about
-    sum_j (cap - j) w_j multiply-adds, where the kernel widths w_j stay
-    below 240 on the case studies and the pilot power grid.
+    One recursion pass runs to an explicit ``k_max`` (clamped to n), or
+    else to the a-priori cap of :func:`_capped_thresholds`, which holds
+    all but tail_tol of the mass, and :func:`_truncated` cuts it.  The cap
+    also gives the cost before any work: about sum_j (cap - j) w_j
+    multiply-adds, where the kernel widths w_j stay below 240 on the case
+    studies and the pilot power grid.
     """
-    _check_cumsum_tail_tol(tail_tol, "the step-down pmf")
-    n = setup.n
-    if k_max is not None:
-        if k_max < 0:
-            raise InputError(f"k_max must be >= 0, got {k_max}")
-        b = _thresholds(setup, 0, min(k_max, n) + 2)
-        pmf = np.exp(_step_down_logs(n, b)[1])
+    _check_tail_tol(tail_tol, "the step-down pmf")
+    if k_max is None:
+        b = _capped_thresholds(setup, tail_tol)
     else:
-        pmf = np.exp(_step_down_logs(n, _capped_thresholds(setup, tail_tol))[1])
-        cut = _cut_index(pmf, tail_tol)
-        if cut is not None:
-            pmf = pmf[: cut + 1]
-    return CountDistribution(
-        setup=setup,
-        pmf=pmf,
-        k_max=len(pmf) - 1,
-        tail_mass=max(float(1.0 - pmf.sum()), 0.0),
-    )
+        b = _thresholds(setup, 0, _forced_k_max(k_max, setup.n) + 2)
+    pmf = np.exp(_step_down_logs(setup.n, b)[1])
+    return _truncated(setup, pmf, tail_tol if k_max is None else None)
 
 
 def bh_pmf_uniform_exact(n: int, alpha: float, k: int) -> float:
@@ -395,8 +397,8 @@ def bh_pmf_uniform_exact(n: int, alpha: float, k: int) -> float:
 def borel_tanner_pmf(alpha: float, k: int) -> float:
     """Limit pmf (k+1)^(k-1)/k! * alpha^k * exp(-(k+1) alpha)."""
     _check_alpha(alpha)
-    if k < 0:
-        raise InputError(f"k must be >= 0, got {k}")
+    if not _is_whole(k, 0):
+        raise InputError(f"k must be a whole number >= 0, got {k}")
     logp = (
         (k - 1) * math.log(k + 1)
         - math.lgamma(k + 1)
@@ -489,33 +491,17 @@ def _window_end(mean: float) -> int:
     return int(math.ceil(mean + t)) + 1
 
 
-def _truncated(setup: TestingSetup, pmf: np.ndarray,
-               tail_tol: float) -> CountDistribution:
-    """Cut a pmf computed past its negligible tail at one past the
-    smallest k with Pr[X > k] <= tail_tol, capped at n.  The upper tails
-    are summed from the right, so they keep their relative accuracy
-    where 1 - cumsum would be rounding noise."""
-    above = np.append(np.cumsum(pmf[::-1])[::-1][1:], 0.0)  # Pr[X > k]
-    k_max = min(int(np.argmax(above <= tail_tol)) + 1, setup.n)
-    return CountDistribution(
-        setup=setup,
-        pmf=pmf[: k_max + 1],
-        k_max=k_max,
-        tail_mass=float(above[k_max]),
-    )
-
-
 def _binomial_law(setup: TestingSetup, p: float,
                   tail_tol: float) -> CountDistribution:
     n = setup.n
     return _truncated(setup, _binomial_pmf(n, p, min(n, _window_end(n * p))),
-                      tail_tol)
+                      tail_tol, 0.0)
 
 
 def _poisson_law(setup: TestingSetup, mean: float,
                  tail_tol: float) -> CountDistribution:
     return _truncated(setup, _poisson_pmf(mean, _log_factorials(_window_end(mean))),
-                      tail_tol)
+                      tail_tol, 0.0)
 
 
 def bonferroni_pmf(setup: TestingSetup, tail_tol: float = 1e-9) -> CountDistribution:

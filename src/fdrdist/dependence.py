@@ -12,7 +12,9 @@ Two exchangeable dependence models are supported.
 
   Every term is nonnegative, so the average runs in double precision,
   as a product quadrature rule over the two variates of Kanter's
-  construction of S, refined until two successive grids agree.
+  construction of S, refined until two successive grids agree.  The
+  counts run to a cap that Markov's inequality on the factorial moments
+  of B fixes before any grid.
 
 * A latent fair coin selecting between parameter vectors theta+eps and
   theta-eps for all p-values at once.  The marginal law stays in the
@@ -34,11 +36,11 @@ from .count_dist import (
     CountDistribution,
     TestingSetup,
     _binomial_pmf,
-    _check_cumsum_tail_tol,
     _check_tail_tol,
-    _cut_index,
+    _forced_k_max,
     _is_whole,
     _stirlerr,
+    _truncated,
     bh_pmf,
 )
 from .psi_dist import ThetaParams, cdf, moment, require_valid
@@ -281,6 +283,42 @@ def _disagreement(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)[keep] / big[keep]))
 
 
+def _copula_cap(n: int, ell: float, gamma: float, tail_tol: float,
+                top: int) -> int:
+    """One below the smallest count k <= top whose bound on Pr[B >= k] is
+    at most tail_tol, else top; ell = -log p*.
+
+    Given S, B is Binomial(n, q(S)), so E[C(B, j)] = C(n, j) (p*)^(j^(1/gamma)),
+    the Laplace transform of S at jL; as C(B, j) >= C(k, j) on B >= k,
+    Markov's inequality gives for every j <= k (falling factorials)
+
+        Pr[B >= k] <= (n)_j (p*)^(j^(1/gamma)) / (k)_j.
+
+    Its log is convex in j, so the best j is the first with k <= kappa_j
+    = j + (n - j) exp(-ell ((j + 1)^(1/gamma) - j^(1/gamma))), where the
+    step to j + 1 turns upward; kappa increases with j.  Any j gives a
+    bound, so rounding only loosens the cap.  Counts are checked in
+    blocks that double from 64, so memory is O(cap).
+    """
+    a = 1.0 / gamma
+    hi = 0
+    while hi < top:
+        hi = min(max(2 * hi, 64), top)
+        j = np.arange(hi + 1.0)
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(j[1:]))))
+        log_fall = j * math.log(n) + np.concatenate(
+            ([0.0], np.cumsum(np.log1p(-j[:-1] / n))))  # log (n)_j
+        kappa = j[:-1] + (n - j[:-1]) * np.exp(-ell * np.diff(j ** a))
+        k = np.arange(1, hi + 1)
+        best = np.minimum(np.searchsorted(kappa, k), k)
+        log_bound = (log_fall[best] - log_fact[k] + log_fact[k - best]
+                     - ell * best ** a)
+        hit = np.flatnonzero(log_bound <= math.log(tail_tol))
+        if hit.size:
+            return int(hit[0])  # k = hit + 1
+    return top
+
+
 def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
                           tail_tol: float = 1e-9,
                           k_max: int | None = None) -> CountDistribution:
@@ -296,92 +334,67 @@ def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
 
     an average of nonnegative terms.  S is written through Kanter's
     construction and the average is a product rule over its two driving
-    variates (see :func:`_frailty_rule`).  Both axes double from the
+    variates (see :func:`_frailty_rule`).  At gamma = 1, S = 1 and the
+    pmf is the binomial itself.
+
+    The counts run to an explicit ``k_max`` (clamped to n), or else to
+    the cap of :func:`_copula_cap`, fixed before any grid, and then
+    :func:`_truncated` cuts the pmf (tail_tol >= 1e-12).  A grid costs
+    n_w n_e (cap + 1) node-count entries; one past 2^30 raises
+    NumericError, the first grid included.  Both axes double from the
     first grid until two successive grids agree entrywise to 1e-10
     relative; ``quadrature_disagreement`` records that difference, an
-    estimate and not a bound.  A grid with more than 2^30 node-count
-    entries raises NumericError.  At gamma = 1, S = 1 and the pmf is the
-    binomial itself.
-
-    Truncates at the smallest k whose cumulative mass reaches
-    1 - tail_tol (tail_tol >= 1e-12, as for :func:`bh_pmf`), or at an
-    explicit ``k_max``.  Without ``k_max`` the counts run to 64, doubled
-    until that mass is reached.
+    estimate and not a bound.
     """
     _check_gamma(gamma)
-    _check_cumsum_tail_tol(tail_tol, "the copula pmf")
+    _check_tail_tol(tail_tol, "the copula pmf")
     n = setup.n
-    if k_max is not None and not 0 <= k_max <= n:
-        raise InputError(f"k_max must lie in [0, n], got {k_max}")
     p_star = cdf(setup.alpha / n, setup.marginal)
     if not 0.0 < p_star < 1.0:
         raise NumericError(
             f"p* = Psi(alpha/n) = {p_star} leaves (0, 1); the copula law "
             "is undefined"
         )
-    cap = min(64, n) if k_max is None else k_max
-    log_l = gamma * math.log(-math.log(p_star))
-
-    def on_grid(level):
-        if gamma == 1.0:
-            return _binomial_pmf(n, p_star, cap)  # S = 1: a single node
+    ell = -math.log(p_star)
+    nodes = 1 if gamma == 1.0 else math.prod(_grid(gamma, 0))
+    cap = (_copula_cap(n, ell, gamma, tail_tol, min(n, _MAX_WORK // nodes))
+           if k_max is None else _forced_k_max(k_max, n))
+    pmf, disagreement, level = None, math.inf, 0
+    if gamma == 1.0:
+        pmf, disagreement = _binomial_pmf(n, p_star, cap), 0.0  # one node
+    while disagreement > _AGREE_RTOL:
         n_w, n_e = _grid(gamma, level)
         if n_w * n_e * (cap + 1) > _MAX_WORK:
             raise NumericError(
                 f"bonferroni_pmf_copula(n={n}, gamma={gamma}) did not "
-                f"converge: the next grid, {n_w}x{n_e} nodes for {cap + 1} "
+                f"converge: grid {level + 1}, {n_w}x{n_e} nodes for {cap + 1} "
                 f"counts, exceeds the cap of {_MAX_WORK} entries (last "
                 f"disagreement between two grids: {disagreement:.1e})"
             )
-        return _frailty_pmf(n, log_l, gamma, cap, n_w, n_e)
-
-    unchecked = 0.0 if gamma == 1.0 else math.inf  # one node needs no check
-    level, disagreement = 0, unchecked
-    pmf = on_grid(level)
-    while True:
-        if k_max is None and cap < n and _cut_index(pmf, tail_tol) is None:
-            # short of the mass: widen, and recheck from one level down
-            cap = min(2 * cap, n)
-            level = max(level - 1, 0)
-            pmf, disagreement = on_grid(level), unchecked
-            continue
-        if disagreement <= _AGREE_RTOL:
-            break
+        prev, pmf = pmf, _frailty_pmf(n, gamma * math.log(ell), gamma, cap,
+                                      n_w, n_e)
+        if prev is not None:
+            disagreement = _disagreement(prev, pmf)
         level += 1
-        prev, pmf = pmf, on_grid(level)
-        disagreement = _disagreement(prev, pmf)
-    cut = _cut_index(pmf, tail_tol) if k_max is None else None
-    if cut is not None:
-        pmf = pmf[: cut + 1]
-    return CountDistribution(
-        setup=setup,
-        pmf=pmf,
-        k_max=len(pmf) - 1,
-        tail_mass=max(float(1.0 - pmf.sum()), 0.0),
-        quadrature_disagreement=disagreement,
-    )
+    return _truncated(setup, pmf, tail_tol if k_max is None else None,
+                      quadrature_disagreement=disagreement)
 
 
 def latent_bh_pmf(setup: TestingSetup, eps,
                   tail_tol: float = 1e-9) -> CountDistribution:
     """Step-down count pmf under the latent fair-coin model: the
-    equal-weight mixture of the two conditional (independent) pmfs.
-    With eps all zero both are the same pmf, computed once."""
-    _check_tail_tol(tail_tol)
+    equal-weight mixture of the two conditional (independent) pmfs, each
+    cut at tail_tol, kept whole with half of each one's tail mass beyond
+    it.  With eps all zero both are the same pmf, computed once."""
     minus, plus = perturbed_pair(setup.marginal, eps)
     dist_m = bh_pmf(TestingSetup(setup.n, setup.alpha, minus), tail_tol)
     dist_p = dist_m if plus == minus else bh_pmf(
         TestingSetup(setup.n, setup.alpha, plus), tail_tol)
-    k_max = max(dist_m.k_max, dist_p.k_max)
-    pmf = np.zeros(k_max + 1)
+    pmf = np.zeros(max(dist_m.k_max, dist_p.k_max) + 1)
     pmf[: dist_m.k_max + 1] += 0.5 * dist_m.pmf
     pmf[: dist_p.k_max + 1] += 0.5 * dist_p.pmf
-    return CountDistribution(
-        setup=setup,
-        pmf=pmf,
-        k_max=k_max,
-        tail_mass=max(float(1.0 - pmf.sum()), 0.0),
-    )
+    return _truncated(setup, pmf, None,
+                      0.5 * (dist_m.tail_mass + dist_p.tail_mass))
 
 
 def latent_pvalue_correlation(theta: ThetaParams, eps) -> float:

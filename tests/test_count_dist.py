@@ -455,15 +455,16 @@ def test_bh_pmf_matches_full_kernel_recursion(setup):
 )
 def test_step_down_cap_is_a_bound(order, n, alpha, log10_tol, seed):
     # a full pass to k = n puts at most tail_tol above the a-priori cap,
-    # up to the rounding of its sum, and the capped pass cuts where it does
+    # up to the rounding of its sum, and the capped pass cuts where the
+    # finisher cuts the full pass
     tail_tol = 10.0 ** log10_tol
     setup = TestingSetup(n, alpha, random_theta(order, np.random.default_rng(seed)))
     cap = count_dist._capped_thresholds(setup, tail_tol).size - 2
     full_b = count_dist._thresholds(setup, 0, n + 2)
     full = np.exp(count_dist._step_down_logs(n, full_b)[1])
     assert full[cap + 1:].sum() <= tail_tol + n * 2.0**-53
-    cut = count_dist._cut_index(full, tail_tol)
-    assert bh_pmf(setup, tail_tol).k_max == (n if cut is None else cut)
+    cut = count_dist._truncated(setup, full, tail_tol).k_max
+    assert bh_pmf(setup, tail_tol).k_max == cut
 
 
 def test_bh_pmf_runs_one_pass(monkeypatch):
@@ -515,6 +516,8 @@ def test_borel_tanner_validation():
     with pytest.raises(InputError):
         borel_tanner_pmf(0.05, -1)
     with pytest.raises(InputError):
+        borel_tanner_pmf(0.05, 2.5)
+    with pytest.raises(InputError):
         borel_tanner_mean(1.0)
 
 
@@ -556,10 +559,12 @@ _EPS = np.finfo(float).eps
 
 
 def _isf_k_max(dist, tail_tol, n):
-    """The truncation rule of the scipy implementation: one past scipy's
-    isf, raised while the cdf is short of 1 - tail_tol, capped at n."""
-    k_max = int(dist.isf(tail_tol)) + 1
-    while dist.cdf(k_max) < 1.0 - tail_tol and k_max < n:
+    """The README truncation rule on a scipy law: the smallest k with
+    sf(k) <= tail_tol, capped at n, found by stepping from scipy's isf."""
+    k_max = int(dist.isf(tail_tol))
+    while k_max > 0 and dist.sf(k_max - 1) <= tail_tol:
+        k_max -= 1
+    while dist.sf(k_max) > tail_tol:
         k_max += 1
     return min(k_max, n)
 

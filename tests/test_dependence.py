@@ -8,6 +8,7 @@ mean invariance E[B] = n Psi(alpha/n) for every gamma, and exact mixture
 structure for the latent model.
 """
 import math
+import time
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_copula_mean_invariant_in_gamma(gamma):
 
 
 def test_copula_large_n_regression():
-    # adaptive precision survives the alternating sum at n = 3226
+    # the quadrature at n = 3226 keeps Pr[B = 0] and the mean n p*
     setup = TestingSetup(3226, 0.05, THETA_BC3)
     dist = bonferroni_pmf_copula(setup, 1.05)
     assert dist.prob(0) == pytest.approx(0.295329, abs=5e-5)
@@ -169,6 +170,18 @@ def test_copula_k_max_forcing():
     assert cut.k_max == 5
     np.testing.assert_allclose(cut.pmf, full.pmf[:6], rtol=1e-9)
     assert cut.tail_mass == pytest.approx(1.0 - cut.pmf.sum(), abs=1e-12)
+
+
+@pytest.mark.parametrize("law", [
+    lambda setup, k_max: bh_pmf(setup, k_max=k_max),
+    lambda setup, k_max: bonferroni_pmf_copula(setup, 1.3, k_max=k_max),
+], ids=["bh_pmf", "copula"])
+def test_forced_k_max_is_checked_once(law):
+    setup = TestingSetup(50, 0.05, THETA_BC3)
+    for bad in (2.5, math.nan, math.inf, -1):
+        with pytest.raises(InputError, match="k_max must be a whole number"):
+            law(setup, bad)
+    assert law(setup, 55).k_max == 50
 
 
 def test_copula_raises_when_the_work_cap_admits_one_grid(monkeypatch):
@@ -214,6 +227,55 @@ def test_copula_matches_inclusion_exclusion_case_study(gamma):
     assert 0.0 <= dist.quadrature_disagreement <= 1e-10
     assert dist.tail_mass <= 1e-9
     assert dist.k_max == int(np.flatnonzero(np.cumsum(oracle) >= 1 - 1e-9)[0])
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=1.0, max_value=5.0),
+    st.sampled_from([ThetaParams.uniform(), THETA_BC3]),
+    st.floats(min_value=0.01, max_value=0.5),
+    st.floats(min_value=-12.0, max_value=-2.0),
+)
+def test_copula_cap_is_a_bound(n, gamma, theta, alpha, log10_tol):
+    # the exact law puts at most tail_tol above the a-priori cap, and the
+    # capped law cuts where the exact law's right-summed tail falls to it
+    tail_tol = 10.0 ** log10_tol
+    p_star = cdf(alpha / n, theta)
+    cap = dependence._copula_cap(n, -math.log(p_star), gamma, tail_tol, n)
+    oracle = copula_pmf_inclusion_exclusion(n, p_star, gamma, n)
+    above = [math.fsum(oracle[k + 1:]) for k in range(n + 1)]
+    assert above[cap] <= tail_tol
+    cut = next(k for k in range(n + 1) if above[k] <= tail_tol)
+    dist = bonferroni_pmf_copula(TestingSetup(n, alpha, theta), gamma, tail_tol)
+    assert dist.k_max == cut
+
+
+def test_copula_runs_one_count_range(monkeypatch):
+    caps = []
+    real = dependence._frailty_pmf
+
+    def spy(n, log_l, gamma, cap, n_w, n_e):
+        caps.append(cap)
+        return real(n, log_l, gamma, cap, n_w, n_e)
+
+    monkeypatch.setattr(dependence, "_frailty_pmf", spy)
+    setup = TestingSetup(3226, 0.05, THETA_BC3)
+    for gamma in (1.05, 1.3):
+        caps.clear()
+        dist = bonferroni_pmf_copula(setup, gamma)
+        assert len(caps) >= 2 and len(set(caps)) == 1
+        assert dist.k_max <= caps[0]
+
+
+def test_copula_over_budget_range_raises_before_any_grid(monkeypatch):
+    # at n = 1e9, gamma = 2 the cap passes the work limit of the first
+    # grid; the search stops there and no grid runs
+    monkeypatch.setattr(dependence, "_frailty_pmf",
+                        lambda *args: pytest.fail("a grid ran"))
+    start = time.perf_counter()
+    with pytest.raises(NumericError, match="grid 1, 32x128 nodes"):
+        bonferroni_pmf_copula(TestingSetup(10**9, 0.05, THETA_BC3), 2.0)
+    assert time.perf_counter() - start < 2.0
 
 
 @given(
