@@ -307,8 +307,11 @@ def quantile(q: float, theta: ThetaParams, tol: float = 1e-12) -> float:
     """Inverse CDF of one probability, through :func:`_quantile_array`.
 
     Returns 0 at q = 0, 1 at q = 1 and q itself for the uniform member.
-    Guarantees |cdf(result) - q| <= tol, else raises NumericError.
+    Guarantees |cdf(result) - q| <= tol, else raises NumericError; ``tol``
+    must be finite and nonnegative.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tol must be finite and >= 0, got {tol}")
     if not 0.0 <= q <= 1.0:
         raise InputError(f"quantile argument must lie in [0, 1], got {q}")
     if q == 0.0:

@@ -10,6 +10,18 @@ stream ``Philox(key=s)`` as doubles, m words per replicate (m is fixed by
 the model, see :func:`sample_pvalues`): row r is words [r*m, (r+1)*m).
 A chunk of rows starts its own Philox at the counter of its first word,
 so results are bit-identical regardless of chunking.
+
+Counting needs exact p-values only at or below alpha: every step-down
+threshold k*alpha/n is at most alpha up to two roundings, and the
+Bonferroni threshold alpha/n is smaller.  The marginal CDF Psi is concave
+with Psi(0) = 0, so Psi(p)/p does not increase, and a uniform
+u > Psi(alpha)(1 + 1e-8) is the image of a p > alpha(1 + 1e-8).  The
+computed inverse is within about 1e-12 relative of that p, and u itself
+is larger still, because Psi(p) >= p.  So the counting path runs the
+inverse CDF only on uniforms at or below that cut (one cut per marginal)
+and keeps the others: either value fails every threshold and sorts after
+every entry that passes, so no count changes, and each transformed entry
+is bit-identical to the full transform that :func:`sample_pvalues` returns.
 """
 
 from __future__ import annotations
@@ -20,7 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .psi_dist import ThetaParams, _quantile_array, require_valid
+from .psi_dist import (
+    _QUANTILE_SLICE,
+    ThetaParams,
+    _quantile_array,
+    cdf,
+    require_valid,
+)
 from .count_dist import CountDistribution, TestingSetup, _check_alpha, _is_whole
 from .dependence import (
     DependenceSpec,
@@ -83,6 +101,9 @@ def positive_stable(gamma: float, rng: np.random.Generator, size: int) -> np.nda
     still consumed, so the draws taken from ``rng`` do not depend on gamma.
     """
     _check_gamma(gamma)
+    if not _is_whole(size, 0):
+        raise InputError(f"size must be an integer in [0, 2^53], got {size}")
+    size = int(size)
     w = rng.uniform(0.0, math.pi, size)
     e = rng.exponential(1.0, size)
     return _kanter(gamma, w, e)
@@ -102,10 +123,26 @@ def _kanter(gamma: float, w: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.exp(_log_kanter_a(gamma, w) - (1.0 - a) / a * np.log(e))
 
 
-def _transform_uniform_chunk(u: np.ndarray, theta: ThetaParams) -> np.ndarray:
-    if theta.order == 0:
-        return u
-    return _quantile_array(u, theta)
+# relative margin on the cut Psi(alpha): covers the rounding of the
+# step-down thresholds and of the inverse CDF with four orders to spare
+_CUT_MARGIN = 1e-8
+
+
+def _transform_below(x: np.ndarray, theta: ThetaParams, cut: float,
+                     rows: np.ndarray = None) -> None:
+    """Replace, in place, every entry of the 2-D array ``x`` at or below
+    ``cut`` (in the rows the boolean ``rows`` selects, if given) by its
+    inverse CDF under ``theta``.  Blocks of about one quantile slice are
+    gathered and scattered in turn, so no temporary grows with ``x``."""
+    if all(c == 0.0 for c in theta.coeffs):
+        return
+    step = max(1, _QUANTILE_SLICE // x.shape[1])
+    for lo in range(0, x.shape[0], step):
+        block = x[lo:lo + step]
+        sel = block <= cut
+        if rows is not None:
+            sel &= rows[lo:lo + step, None]
+        block[sel] = _quantile_array(block[sel], theta)
 
 
 def sample_pvalues(config: SimConfig) -> np.ndarray:
@@ -124,31 +161,48 @@ def sample_pvalues(config: SimConfig) -> np.ndarray:
     Exponentials are drawn by inversion, so every row takes exactly m words.
     """
     out = np.empty((config.replicates, config.n_tests))
-    for lo, hi, chunk in _iter_pvalue_chunks(config):
+    for lo, hi, chunk in _iter_pvalue_chunks(config, transform_all=True):
         out[lo:hi] = chunk
     return out
 
 
-def _iter_pvalue_chunks(config: SimConfig):
+def _iter_pvalue_chunks(config: SimConfig, transform_all: bool = False):
     """Yield (lo, hi, matrix) blocks of replicates without holding the
-    whole run in memory."""
+    whole run in memory.
+
+    By default only uniforms u <= min(1, Psi(alpha)(1 + 1e-8)) go through
+    the inverse CDF, with Psi the marginal that draws them (theta - eps or
+    theta + eps per coin in the latent model); the others keep their
+    uniform, which fails every counting threshold as its p-value would
+    (see the module docstring).  ``transform_all`` transforms every entry.
+    """
     n, reps, dep = config.n_tests, config.replicates, config.dependence
     m = n + {Independent: 0, Latent: 1, GumbelCopula: 2}[type(dep)]
     rows = _chunk_rows(m, reps)
+
+    def cut(theta):
+        if transform_all:
+            return math.inf
+        return min(1.0, cdf(config.alpha, theta) * (1.0 + _CUT_MARGIN))
+
     if isinstance(dep, Latent):
         minus, plus = perturbed_pair(config.marginal, dep.eps)
+        cut_minus, cut_plus = cut(minus), cut(plus)
+    else:
+        cut_marginal = cut(config.marginal)
     for lo in range(0, reps, rows):
         hi = min(lo + rows, reps)
         bg = np.random.Philox(key=config.seed, counter=lo * m // 4)
         bg.random_raw(lo * m % 4)
         u = np.random.Generator(bg).random((hi - lo, m))
         if isinstance(dep, Independent):
-            x = _transform_uniform_chunk(u, config.marginal)
+            x = u
+            _transform_below(x, config.marginal, cut_marginal)
         elif isinstance(dep, Latent):
             coin = u[:, 0] < 0.5
             x = u[:, 1:]
-            x[coin] = _transform_uniform_chunk(x[coin], minus)
-            x[~coin] = _transform_uniform_chunk(x[~coin], plus)
+            _transform_below(x, minus, cut_minus, coin)
+            _transform_below(x, plus, cut_plus, ~coin)
         else:
             s = _kanter(dep.gamma, math.pi * u[:, 0], -np.log1p(-u[:, 1]))
             # one contiguous copy of -U for the in-place transform below
@@ -158,7 +212,7 @@ def _iter_pvalue_chunks(config: SimConfig):
             x /= s[:, None]
             x **= 1.0 / dep.gamma
             np.exp(np.negative(x, out=x), out=x)
-            x = _transform_uniform_chunk(x, config.marginal)
+            _transform_below(x, config.marginal, cut_marginal)
         # the yielded matrix alone holds this chunk while the next is drawn
         u = None
         yield lo, hi, x
@@ -178,6 +232,13 @@ class EmpiricalCountDistribution(CountDistribution):
         se.flags.writeable = False
         object.__setattr__(self, "std_errs", se)
 
+    def mean_error_bound(self) -> float:
+        """Not defined: the mean of a Monte Carlo law is an estimate, not a
+        truncated exact sum, and its error is statistical (``std_errs``)."""
+        raise InputError(
+            "a Monte Carlo count law has no truncation bound on its mean; "
+            "its error is statistical: use std_errs")
+
 
 _RULES = ("bh", "bonferroni")
 
@@ -187,7 +248,10 @@ def empirical_count_distribution(config: SimConfig,
     """Apply a counting rule to every simulated replicate and normalize.
 
     ``rule`` is "bh" (step-down) or "bonferroni".  Standard errors are
-    binomial: sqrt(phat (1 - phat) / replicates) per cell.
+    binomial: sqrt(phat (1 - phat) / replicates) per cell.  Neither rule
+    counts a p-value above alpha, so only uniforms at or below the cut
+    Psi(alpha)(1 + 1e-8) are transformed; the counts equal those of the
+    fully transformed :func:`sample_pvalues` matrix (module docstring).
     """
     rule_key = str(rule).lower()
     if rule_key not in _RULES:

@@ -294,6 +294,10 @@ def test_quantile_endpoints_and_domain():
         quantile(-0.01, THETA_BC3)
     with pytest.raises(InputError):
         quantile(1.01, THETA_BC3)
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(InputError, match="tol"):
+            quantile(0.3, THETA_BC3, tol=tol)
+    assert quantile(0.3, THETA_BC3, tol=0.1) == quantile(0.3, THETA_BC3)
 
 
 def test_quantile_array_matches_scalar():

@@ -38,7 +38,7 @@ from fdrdist import (
 )
 from fdrdist import simulate
 from fdrdist.dependence import perturbed_pair
-from fdrdist.psi_dist import _quantile_array
+from fdrdist.psi_dist import _quantile_array, random_theta
 
 HALF_SIG = tuple(0.5 * s for s in SIG_BC3)
 MODELS = [Independent(), GumbelCopula(1.7), Latent(HALF_SIG)]
@@ -222,6 +222,14 @@ def test_positive_stable_degenerate_at_gamma_one():
     np.testing.assert_array_equal(s, np.ones(1000))
 
 
+def test_positive_stable_rejects_bad_size():
+    for bad in (-1, 2.5, math.nan, math.inf):
+        with pytest.raises(InputError, match="size"):
+            positive_stable(1.5, np.random.default_rng(0), bad)
+    assert positive_stable(1.5, np.random.default_rng(0), 3.0).shape == (3,)
+    assert positive_stable(1.5, np.random.default_rng(0), 0).shape == (0,)
+
+
 def test_positive_stable_vs_gamma_one_layout():
     # gamma = 1 consumes the same number of variates as gamma > 1, so
     # downstream draws stay aligned across dependence strengths
@@ -322,16 +330,42 @@ def test_gamma_mixture_sampler_agrees_with_inverse_cdf():
 
 # ------------------------------------------------- empirical distributions
 
+def _brute_force_pmf(cfg, rule):
+    """Counts of the fully transformed matrix, one row at a time."""
+    sample = sample_pvalues(cfg)
+    if rule == "bh":
+        counts = [bh_count(row, cfg.alpha) for row in sample]
+    else:
+        counts = [np.count_nonzero(row <= cfg.alpha / cfg.n_tests) for row in sample]
+    return np.bincount(counts) / cfg.replicates
+
+
 def test_empirical_matches_brute_force_counts():
+    # the counting path transforms only uniforms at or below its cut
+    # Psi(alpha)(1 + 1e-8), so the oracle counts sample_pvalues, which
+    # transforms every entry; at n = 3, alpha = 0.05 the last step-down
+    # threshold, 0.05000000000000001, lies above alpha
     cfg = _config(n_tests=50, replicates=300, marginal=THETA_BC3, seed=31)
     emp = empirical_count_distribution(cfg, rule="bh")
-    sample = sample_pvalues(cfg)
-    counts = np.bincount(
-        [bh_count(row, cfg.alpha) for row in sample],
-        minlength=emp.k_max + 1)
-    np.testing.assert_allclose(emp.pmf, counts / cfg.replicates, atol=1e-12)
+    np.testing.assert_array_equal(emp.pmf, _brute_force_pmf(cfg, "bh"))
     assert emp.replicates == 300
     assert emp.tail_mass == 0.0
+    rng = np.random.default_rng(31)
+    thetas = [ThetaParams.uniform()] + [random_theta(i, rng) for i in range(1, 7)]
+    for theta in thetas:
+        # the latent halves are theta / 2 and theta, both valid
+        center = ThetaParams(theta.order, tuple(0.75 * c for c in theta.coeffs))
+        eps = tuple(0.25 * c for c in theta.coeffs)
+        models = [(theta, Independent()), (center, Latent(eps)),
+                  (theta, GumbelCopula(1.3)), (theta, GumbelCopula(1.0))]
+        for marginal, dep in models:
+            for n, alpha in ((3, 0.05), (40, 0.05), (40, 0.3), (40, 0.9)):
+                cfg = _config(n_tests=n, replicates=200, marginal=marginal,
+                              alpha=alpha, dependence=dep, seed=int(rng.integers(2**32)))
+                for rule in ("bh", "bonferroni"):
+                    np.testing.assert_array_equal(
+                        empirical_count_distribution(cfg, rule).pmf,
+                        _brute_force_pmf(cfg, rule), err_msg=f"{cfg} {rule}")
 
 
 def test_empirical_standard_errors():
@@ -362,6 +396,13 @@ def test_empirical_is_count_distribution():
     assert isinstance(emp, EmpiricalCountDistribution)
     assert emp.pmf.sum() == pytest.approx(1.0, abs=1e-12)
     assert emp.mean() >= 0.0
+
+
+def test_empirical_has_no_mean_error_bound():
+    # tail_mass is 0, but a histogram's mean is not exact: no bound of 0
+    emp = empirical_count_distribution(_config(), rule="bh")
+    with pytest.raises(InputError, match="std_errs"):
+        emp.mean_error_bound()
 
 
 def test_empirical_rejects_unknown_rule():
