@@ -25,7 +25,6 @@ closed form live here as well.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,7 @@ from .psi_dist import (
     ThetaParams,
     _beta_poly,
     _horner,
+    _is_whole,
     _theta_poly,
     cdf,
     checked_pvalues,
@@ -60,17 +60,6 @@ __all__ = [
     "normal_approx",
     "borel_limit_param",
 ]
-
-
-# sizes up to 2^53 convert to float exactly (and far from overflow)
-_MAX_SIZE = 2**53
-
-
-def _is_whole(value, lo: int = 1, hi: int = _MAX_SIZE) -> bool:
-    """True for an integer or a whole-valued float in [lo, hi] (by default
-    a size: 1 to 2^53); NaN and inf are not."""
-    whole = isinstance(value, numbers.Integral) or float(value).is_integer()
-    return whole and lo <= value <= hi
 
 
 def _check_alpha(alpha: float) -> None:

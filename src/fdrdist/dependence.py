@@ -38,12 +38,11 @@ from .count_dist import (
     _binomial_pmf,
     _check_tail_tol,
     _forced_k_max,
-    _is_whole,
     _stirlerr,
     _truncated,
     bh_pmf,
 )
-from .psi_dist import ThetaParams, cdf, moment, require_valid
+from .psi_dist import ThetaParams, _is_whole, cdf, moment, require_valid
 
 __all__ = [
     "Independent",

@@ -3,11 +3,11 @@
 With x = -log p, an order-I density is 1 + sum_j theta_j (x^j - j!),
 linear in the coefficients, so the log-likelihood is concave.  The valid
 region, the one :func:`~fdrdist.psi_dist.validate_theta` checks at every
-order, is the chained box theta_i >= 0, sum_{j>=i} j! theta_j <= 1; in
-the mixture weights u_j = j! theta_j it is the simplex u >= 0,
-sum(u) <= 1.  One active-set Newton solve over that simplex, with the
-analytic gradient and Hessian and from a single interior start, reaches
-the global maximum, since a concave function has no other local maxima.
+order, is the simplex u >= 0, sum(u) <= 1 in the mixture weights
+u_j = j! theta_j.  One active-set Newton solve over that simplex, with
+the analytic gradient and Hessian and from a single interior start,
+reaches the global maximum, since a concave function has no other local
+maxima.
 For orders >= 2 the top coefficient stays at or above the smallest
 normal float, because the order is defined by theta_I > 0; order 1
 keeps the closed interval [0, 1].
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericError
-from .psi_dist import ThetaParams, chained_upper_bound, checked_pvalues, require_valid
+from .psi_dist import ThetaParams, _checked_order, checked_pvalues, require_valid
 
 __all__ = ["FitResult", "log_likelihood", "fit", "select_order"]
 
@@ -85,34 +85,34 @@ def log_likelihood(pvalues, theta: ThetaParams) -> float:
     return _loglik(_design(-np.log(arr), theta.order), theta)
 
 
-def _snap_boundaries(coeffs: tuple, order: int) -> tuple:
-    """Coefficients within the snap tolerance of a box edge are set
-    exactly on it; returns (snapped coefficients, active-constraint
-    flags)."""
-    snapped = list(coeffs)
-    flags = [False] * order
-    for i in range(order, 0, -1):
-        upper = chained_upper_bound(i, snapped)
-        if upper - snapped[i - 1] <= _BOUNDARY_SNAP:
-            snapped[i - 1] = upper
-            flags[i - 1] = True
-        elif snapped[i - 1] <= _BOUNDARY_SNAP:
-            # the top coefficient of a higher-order fit is strictly
-            # positive by definition of the order, so it is flagged as
-            # boundary-pinned but never moved onto the excluded edge
-            if i < order or order == 1:
-                snapped[i - 1] = 0.0
-            flags[i - 1] = True
-    # theta_0 adds the terms in another order than the chained bounds, so
-    # a snap onto sum(u) = 1 can leave it a rounding below zero (a negative
-    # density at p = 1); the lowest positive coefficient gives that back
-    low = next((i for i, c in enumerate(snapped) if c > 0.0), None)
-    for _ in range(3):
-        theta0 = ThetaParams(order, tuple(snapped)).theta0
-        if low is None or theta0 >= 0.0:
-            break
-        snapped[low] = max(snapped[low] + theta0 / math.factorial(low + 1), 0.0)
-    return tuple(snapped), tuple(flags)
+def _snap_boundaries(u, order: int) -> tuple:
+    """(coefficients, active-constraint flags) from the weights
+    u_i = i! theta_i, each within i! * 1e-8 of a simplex face set on it.
+
+    Such a weight u_i is set to 0, except the top weight of an order >= 2
+    (flagged only: theta_I > 0 defines the order).  Then, if theta_0 is at
+    most i! * 1e-8, i the lowest positive index, u_i takes up the rest.
+    """
+    fact = [math.factorial(i) for i in range(1, order + 1)]
+    flags = [bool(w <= f * _BOUNDARY_SNAP) for w, f in zip(u, fact)]
+    closed = order - (order > 1)  # weights that may be set to 0
+    theta = [0.0 if flag and i < closed else float(w) / f
+             for i, (w, f, flag) in enumerate(zip(u, fact, flags))]
+    low = next((i for i, c in enumerate(theta) if c > 0.0), None)
+    if low is not None and ThetaParams(order, theta).theta0 <= fact[low] * _BOUNDARY_SNAP:
+        # theta_0 adds the weights from the top down, u_low last, so with
+        # rest the sum of the others it is 1 - fl(rest + u_low); the
+        # target u_low = fl(1 - rest) gives fl(rest + target) <= 1 for
+        # every float rest in [0, 1]
+        theta[low] = 0.0
+        target = ThetaParams(order, theta).theta0
+        theta[low] = target / fact[low]
+        if fact[low] * theta[low] > target:
+            # fact[low] * (target / fact[low]) can round one ulp above
+            # target; one ulp down puts the exact product below it
+            theta[low] = math.nextafter(theta[low], 0.0)
+        flags[low] = True
+    return tuple(theta), tuple(flags)
 
 
 def _std_errs(v: np.ndarray, theta: ThetaParams):
@@ -238,8 +238,7 @@ def fit(pvalues, order: int) -> FitResult:
     observed-information standard errors.  Raises NumericError if the
     solve fails.
     """
-    if order < 1:
-        raise InputError(f"order must be >= 1, got {order}")
+    order = _checked_order(order, 1)
     arr = np.sort(checked_pvalues(pvalues, positive=True))
     if arr.size < order + 5:
         raise InputError(
@@ -255,7 +254,7 @@ def fit(pvalues, order: int) -> FitResult:
     if order > 1:
         lb[-1] = fact[-1] * np.finfo(float).tiny
     u, iterations = _active_set_newton(v / fact, lb)
-    coeffs, flags = _snap_boundaries(tuple(float(c) for c in u / fact), order)
+    coeffs, flags = _snap_boundaries(u, order)
     theta_hat = ThetaParams(order, coeffs)
     require_valid(theta_hat, "fitted parameters")
     return FitResult(
@@ -285,8 +284,7 @@ def select_order(pvalues, max_order: int = 6) -> FitResult:
     breast-cancer law, the 3 -> 4 step gave 2 Delta = 0 in 48 % of them
     and 2 Delta > 3.84 in 0.5 %.
     """
-    if max_order < 1:
-        raise InputError(f"max_order must be >= 1, got {max_order}")
+    max_order = _checked_order(max_order, 1, "max_order")
     fits = [fit(pvalues, 1)]
     selected = fits[0]
     for order in range(2, max_order + 1):

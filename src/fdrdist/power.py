@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConstraintError, InputError
-from .psi_dist import ThetaParams, require_valid
-from .count_dist import TestingSetup, _check_tail_tol, _is_whole
+from .psi_dist import ThetaParams, _is_whole, require_valid
+from .count_dist import TestingSetup, _check_tail_tol
 from .dependence import latent_bh_pmf, latent_pvalue_correlation
 
 __all__ = ["PowerRow", "PowerGrid", "scale_theta", "power_table"]

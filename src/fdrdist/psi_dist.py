@@ -20,6 +20,7 @@ nonnegative and nonincreasing in p and its CDF is concave.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,39 @@ __all__ = [
     "random_theta",
     "checked_pvalues",
 ]
+
+
+# sizes up to 2^53 convert to float exactly (and far from overflow)
+_MAX_SIZE = 2**53
+# 171! overflows a double, so no higher order has a weight u_I = I! theta_I
+_MAX_ORDER = 170
+
+
+def _is_whole(value, lo: int = 1, hi: int = _MAX_SIZE) -> bool:
+    """True for an integer or a whole-valued float in [lo, hi] (by default
+    a size: 1 to 2^53); NaN and inf are not."""
+    whole = isinstance(value, numbers.Integral) or float(value).is_integer()
+    return whole and lo <= value <= hi
+
+
+def _checked_order(order, lo: int = 0, what: str = "order") -> int:
+    """``order`` as an int; InputError unless it is whole, in [lo, 170]."""
+    if not _is_whole(order, lo, _MAX_ORDER):
+        raise InputError(
+            f"{what} must be an integer in [{lo}, {_MAX_ORDER}], got {order}"
+        )
+    return int(order)
+
+
+def _weights(coeffs) -> list:
+    """The mixture weights u_i = i! * theta_i, lowest order first."""
+    return [math.factorial(i) * c for i, c in enumerate(coeffs, start=1)]
+
+
+def _mass(u) -> float:
+    """sum(u), added from the top order down.  theta_0 = 1 - _mass(u), and
+    the fit's snap onto sum(u) = 1 adds its terms in this same order."""
+    return sum(reversed(u))
 
 
 def _as_coeff_tuple(coeffs, order: int, what: str) -> tuple:
@@ -71,17 +105,14 @@ class ThetaParams:
     coeffs: tuple = field(default=())
 
     def __post_init__(self):
-        if self.order < 0:
-            raise InputError(f"order must be >= 0, got {self.order}")
+        object.__setattr__(self, "order", _checked_order(self.order))
         object.__setattr__(
             self, "coeffs", _as_coeff_tuple(self.coeffs, self.order, "ThetaParams")
         )
 
     @property
     def theta0(self) -> float:
-        return 1.0 - sum(
-            math.factorial(i + 1) * c for i, c in enumerate(self.coeffs)
-        )
+        return 1.0 - _mass(_weights(self.coeffs))
 
     @classmethod
     def uniform(cls, order: int = 0) -> "ThetaParams":
@@ -105,8 +136,7 @@ class BetaParams:
     coeffs: tuple = field(default=())
 
     def __post_init__(self):
-        if self.order < 0:
-            raise InputError(f"order must be >= 0, got {self.order}")
+        object.__setattr__(self, "order", _checked_order(self.order))
         object.__setattr__(
             self, "coeffs", _as_coeff_tuple(self.coeffs, self.order, "BetaParams")
         )
@@ -119,37 +149,28 @@ class BetaParams:
 def theta_to_beta(theta: ThetaParams) -> BetaParams:
     """Map density coefficients to CDF coefficients.
 
-    beta_j = sum_{i=j..I} theta_i * i!/j!; the factorial ratios are exact
-    integers, so the map is evaluated without rounding beyond the final
-    float sums.
+    beta_j = sum_{i=j..I} theta_i * i!/j!, evaluated from the top down by
+    beta_I = theta_I, beta_j = theta_j + (j+1) beta_{j+1}: the inverse of
+    :func:`beta_to_theta`'s formula.
     """
-    I = theta.order
-    coeffs = []
-    for j in range(1, I + 1):
-        b = 0.0
-        for i in range(j, I + 1):
-            b += theta.coeffs[i - 1] * (math.factorial(i) // math.factorial(j))
-        coeffs.append(b)
-    return BetaParams(I, tuple(coeffs))
+    beta = list(theta.coeffs)
+    for j in range(theta.order - 1, 0, -1):
+        beta[j - 1] += (j + 1) * beta[j]
+    return BetaParams(theta.order, tuple(beta))
 
 
 def beta_to_theta(beta: BetaParams) -> ThetaParams:
     """Inverse of :func:`theta_to_beta`: theta_i = beta_i - (i+1) beta_{i+1},
     with theta_I = beta_I at the top."""
-    I = beta.order
-    coeffs = []
-    for i in range(1, I + 1):
-        if i < I:
-            coeffs.append(beta.coeffs[i - 1] - (i + 1) * beta.coeffs[i])
-        else:
-            coeffs.append(beta.coeffs[i - 1])
-    return ThetaParams(I, tuple(coeffs))
+    b = beta.coeffs + (0.0,)
+    return ThetaParams(beta.order, tuple(
+        b[i - 1] - (i + 1) * b[i] for i in range(1, beta.order + 1)))
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate_theta`: whether theta lies in the chained
-    box, and the inequalities it violates."""
+    """Outcome of :func:`validate_theta`: whether theta lies on the simplex
+    of weights u_j = j! theta_j, and the inequalities it violates."""
 
     valid: bool
     violations: tuple
@@ -161,50 +182,35 @@ class ValidationReport:
 def chained_upper_bound(i: int, coeffs) -> float:
     """Upper bound for theta_i given the higher-order coefficients:
     (1/i!) * (1 - sum_{j>i} j! * theta_j)."""
-    rest = sum(math.factorial(j) * coeffs[j - 1] for j in range(i + 1, len(coeffs) + 1))
-    return (1.0 - rest) / math.factorial(i)
+    return (1.0 - _mass(_weights(coeffs)[i:])) / math.factorial(i)
 
 
-# absorbs float noise on box boundaries (e.g. vectors scaled onto a bound)
+# absorbs float noise on the simplex faces (e.g. vectors scaled onto one)
 _BOUND_SLACK = 1e-12
 
 
 def validate_theta(theta: ThetaParams) -> ValidationReport:
-    """Check membership in the valid parameter region, the chained box.
+    """Check membership in the valid parameter region, the simplex
+    u >= 0, sum(u) <= 1 in the weights u_j = j! theta_j.
 
-    The top coefficient satisfies 0 < theta_I <= 1/I! and every lower
-    coefficient 0 <= theta_i <= (1/i!)(1 - sum_{j>i} j! theta_j); order 1
-    keeps the closed interval 0 <= theta_1 <= 1.  In u_j = j! theta_j the
-    box is the simplex u >= 0, sum(u) <= 1, on which psi is the mixture
+    Above order 1 the top weight must also be strictly positive, since
+    theta_I > 0 defines the order; order 1 keeps the closed interval
+    0 <= theta_1 <= 1.  On the simplex psi is the mixture
     (1 - sum(u)) * 1 + sum_j u_j x^j / j! of the uniform and the
     Gamma(j+1) laws of x = -log p: a proof, at every order, that the
     density is nonnegative and nonincreasing in p.  Every bound but
-    theta_I > 0 is widened by 1e-12 to absorb rounding on the boundary.
-
-    Returns
-    -------
-    ValidationReport
-        ``violations`` names the first violated inequality (and any
-        further ones found at the same pass).
+    u_I > 0 is widened by 1e-12 to absorb rounding on the boundary.  The
+    report names each violated inequality in theta, the top one first.
     """
     I = theta.order
-    c = theta.coeffs
-    violations = []
-    # top coefficient: strictly positive except for the order-1 member,
-    # where the closed interval [0, 1] keeps the uniform reachable
-    if I == 1:
-        if not -_BOUND_SLACK <= c[0] <= 1.0 + _BOUND_SLACK:
-            violations.append("0 <= theta_1 <= 1")
-    elif I > 1:
-        if not 0.0 < c[I - 1] <= 1.0 / math.factorial(I) + _BOUND_SLACK:
-            violations.append(f"0 < theta_{I} <= 1/{math.factorial(I)}")
-    for i in range(I - 1, 0, -1):
-        ub = chained_upper_bound(i, c)
-        if not -_BOUND_SLACK <= c[i - 1] <= ub + _BOUND_SLACK:
-            terms = " - ".join(
-                f"{math.factorial(j)}*theta_{j}" for j in range(i + 1, I + 1)
-            )
-            violations.append(f"0 <= {math.factorial(i)}*theta_{i} <= 1 - {terms}")
+    u = _weights(theta.coeffs)
+    terms = [f"{math.factorial(i)}*theta_{i}" for i in range(1, I + 1)]
+    violations = [] if I < 2 or u[-1] > 0.0 else [f"0 < {terms[-1]} <= 1"]
+    closed = I - (I > 1)  # weights with u_i >= 0 (above order 1, u_I > 0)
+    violations += [f"0 <= {terms[i]} <= 1" for i in reversed(range(closed))
+                   if u[i] < -_BOUND_SLACK]
+    if _mass(u) - 1.0 > _BOUND_SLACK:  # 1 + 1e-12 would round up
+        violations.append(f"{' + '.join(terms)} <= 1")
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -399,11 +405,11 @@ def _solve_x(u: np.ndarray, beta: np.ndarray, poly: np.ndarray) -> np.ndarray:
 
 def moment(j: int, theta: ThetaParams) -> float:
     """E p^j = sum_{i=0..I} i! * theta_i / (j+1)^(i+1) for integer j >= 1."""
-    if int(j) != j or j < 1:
+    if not _is_whole(j, 1, math.inf):
         raise InputError(f"moment order must be a positive integer, got {j}")
     total = theta.theta0 / (j + 1)
-    for i, c in enumerate(theta.coeffs, start=1):
-        total += math.factorial(i) * c / (j + 1) ** (i + 1)
+    for i, u in enumerate(_weights(theta.coeffs), start=1):
+        total += u / (j + 1) ** (i + 1)
     return total
 
 
@@ -435,18 +441,19 @@ def pi0_estimate(theta: ThetaParams) -> float:
 
 
 def random_theta(order: int, rng: np.random.Generator) -> ThetaParams:
-    """Draw a coefficient vector uniformly inside the chained box.
+    """Draw a coefficient vector uniformly on the valid region.
 
-    Sampling proceeds from the top coefficient down, each uniform on the
-    interval allowed by those already drawn, so every draw passes
-    :func:`validate_theta`.
+    The weights u = (E_1, ..., E_I) / (E_0 + ... + E_I), E_j standard
+    exponentials, are uniform on the simplex u >= 0, sum(u) <= 1 (Devroye
+    1986, Non-Uniform Random Variate Generation, ch. V); theta_i = u_i / i!.
+    Every draw passes :func:`validate_theta`.
     """
-    if order < 1:
-        return ThetaParams.uniform(order)
-    coeffs = [0.0] * order
-    top_ub = 1.0 / math.factorial(order)
-    coeffs[order - 1] = rng.uniform(0.0, top_ub) or top_ub * 0.5
-    for i in range(order - 1, 0, -1):
-        ub = chained_upper_bound(i, coeffs)
-        coeffs[i - 1] = rng.uniform(0.0, max(ub, 0.0))
-    return ThetaParams(order, tuple(coeffs))
+    order = _checked_order(order)
+    e = rng.standard_exponential(order + 1)
+    # theta_I > 0 defines the order; an exponential of exactly 0 (drawn
+    # with probability about 2^-53) is moved to the smallest normal float
+    e[-1] = max(e[-1], np.finfo(float).tiny)
+    u = e[1:] / e.sum()
+    return ThetaParams(order, tuple(
+        float(w) / math.factorial(i) for i, w in enumerate(u, start=1)
+    ))

@@ -35,11 +35,12 @@ from .errors import InputError
 from .psi_dist import (
     _QUANTILE_SLICE,
     ThetaParams,
+    _is_whole,
     _quantile_array,
     cdf,
     require_valid,
 )
-from .count_dist import CountDistribution, TestingSetup, _check_alpha, _is_whole
+from .count_dist import CountDistribution, TestingSetup, _check_alpha
 from .dependence import (
     DependenceSpec,
     GumbelCopula,

@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 from mpmath import binomial as mp_binomial, loggamma, mp, mpf, workprec
 from scipy import optimize, stats
 
-from conftest import THETA_BC3, THETA_HUANG, THETA_TCGA
+from conftest import THETA_BC3, THETA_HUANG, THETA_TCGA, thetas
 from fdrdist import (
     CountDistribution,
     InputError,
@@ -39,7 +39,6 @@ from fdrdist import (
     normal_approx,
     density,
     perturbed_pair,
-    random_theta,
     scale_theta,
     u_k,
 )
@@ -372,13 +371,11 @@ def test_bh_pmf_matches_alternating_oracle_strong_pilot_branch():
 
 
 @given(
-    st.integers(min_value=0, max_value=4),
+    thetas(0, 4),
     st.integers(min_value=1, max_value=200),
     st.floats(min_value=0.005, max_value=0.6),
-    st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_bh_pmf_matches_alternating_oracle_random_theta(order, n, alpha, seed):
-    theta = random_theta(order, np.random.default_rng(seed))
+def test_bh_pmf_matches_alternating_oracle_random_theta(theta, n, alpha):
     _assert_matches_oracle(TestingSetup(n, alpha, theta))
 
 
@@ -447,18 +444,17 @@ def test_bh_pmf_matches_full_kernel_recursion(setup):
 
 
 @given(
-    st.integers(min_value=0, max_value=6),
+    thetas(0, 6),
     st.integers(min_value=1, max_value=400),
     st.floats(min_value=0.005, max_value=0.9),
     st.floats(min_value=-12.0, max_value=-2.0),
-    st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_step_down_cap_is_a_bound(order, n, alpha, log10_tol, seed):
+def test_step_down_cap_is_a_bound(theta, n, alpha, log10_tol):
     # a full pass to k = n puts at most tail_tol above the a-priori cap,
     # up to the rounding of its sum, and the capped pass cuts where the
     # finisher cuts the full pass
     tail_tol = 10.0 ** log10_tol
-    setup = TestingSetup(n, alpha, random_theta(order, np.random.default_rng(seed)))
+    setup = TestingSetup(n, alpha, theta)
     cap = count_dist._capped_thresholds(setup, tail_tol).size - 2
     full_b = count_dist._thresholds(setup, 0, n + 2)
     full = np.exp(count_dist._step_down_logs(n, full_b)[1])
@@ -717,21 +713,23 @@ def test_normal_approx_matches_scipy_solve(setup):
     _assert_normal_matches_scipy(setup)
 
 
+_THETA_SEED_7 = ThetaParams(2, (0.3363695214083519, 0.3125477333023335))
+
+
 @given(
-    st.integers(min_value=0, max_value=6),
+    thetas(0, 6),
     st.integers(min_value=1, max_value=2**40),
     st.floats(min_value=0.005, max_value=0.99),
-    st.integers(min_value=0, max_value=2**32 - 1),
 )
-@example(order=2, n=2, alpha=0.3359375, seed=64138)  # mu = 0.067
+@example(theta=ThetaParams(2, (0.054105022815595795, 0.2946086629480683)),
+         n=2, alpha=0.3359375)  # mu = 0.067
 # the concave gap peaks at mu = 0 on [0, n]; alpha bisected so that the
 # peak is +1e-5 (a crossing at mu = 5.5e-5) and -1e-6 (no component).
 # At +1e-6 the crossing sits at the double-rounding floor of the gap,
 # where both solvers agree only to about 2e-10 relative.
-@example(order=2, n=300, alpha=0.026961755655817474, seed=7)
-@example(order=2, n=300, alpha=0.026961392672604806, seed=7)
-def test_normal_approx_matches_scipy_solve_random_theta(order, n, alpha, seed):
-    theta = random_theta(order, np.random.default_rng(seed))
+@example(theta=_THETA_SEED_7, n=300, alpha=0.026961755655817474)
+@example(theta=_THETA_SEED_7, n=300, alpha=0.026961392672604806)
+def test_normal_approx_matches_scipy_solve_random_theta(theta, n, alpha):
     _assert_normal_matches_scipy(TestingSetup(n, alpha, theta))
 
 

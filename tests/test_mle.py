@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import optimize
 
 from conftest import SIG_BC3, THETA_BC3
@@ -220,16 +221,52 @@ def test_fit_satisfies_kkt_conditions(p, flags):
 
 def test_snap_onto_full_simplex_keeps_theta0_nonnegative():
     # an order-6 optimum with sum(u) = 1 seen in a fuzzed fit: snapping
-    # theta_1 onto its chained bound left theta_0 = -2.2e-16, a negative
-    # density at p = 1 that validate_theta rejects
+    # theta_1 onto its bound in theta once left theta_0 = -2.2e-16, a
+    # negative density at p = 1
+    fact = [math.factorial(j) for j in range(1, 7)]
     raw = (0.5579312537389811, 0.20026634464055168, 0.0, 0.0,
            0.00016625771251640919, 2.99793492749254e-05)
-    coeffs, flags = _snap_boundaries(raw, 6)
+    u = [f * c for f, c in zip(fact, raw)]
+    coeffs, flags = _snap_boundaries(u, 6)
     assert flags == (True, False, True, True, False, False)
     theta = ThetaParams(6, coeffs)
     assert 0.0 <= theta.theta0 < 1e-15
     assert validate_theta(theta).valid
-    assert coeffs[1:] == raw[1:]
+    assert coeffs[1:] == tuple(w / f for w, f in zip(u[1:], fact[1:]))
+
+
+_NEAR_FACE = st.floats(min_value=-1e-9, max_value=1e-9)
+
+
+@st.composite
+def _weights_near_faces(draw):
+    """(u, order): weights on or within 1e-9 of the faces u_i = 0 and
+    sum(u) = 1, as the active-set solve hands them to the snap (the top
+    weight of an order >= 2 stays at or above its bound I! * tiny)."""
+    order = draw(st.integers(min_value=1, max_value=6))
+    u = np.array(draw(st.lists(st.floats(min_value=1e-6, max_value=1.0),
+                               min_size=order, max_size=order)))
+    at_zero = np.array(draw(st.lists(st.booleans(), min_size=order, max_size=order)))
+    if not at_zero.all():
+        total = 1.0 if draw(st.booleans()) else draw(st.floats(min_value=0.0, max_value=1.0))
+        u *= (total + draw(_NEAR_FACE)) / u[~at_zero].sum()
+    u[at_zero] = [draw(_NEAR_FACE) for _ in range(int(at_zero.sum()))]
+    if order > 1:
+        u[-1] = max(u[-1], math.factorial(order) * np.finfo(float).tiny)
+    return u, order
+
+
+@settings(max_examples=500)
+@given(_weights_near_faces())
+# u_5 / 5! * 5! rounds one ulp above u_5 = 1 - u_6, which with u_6 < 1/2
+# puts the sum one ulp above 1 unless the snap steps theta_5 down
+@example(([0.0, 0.0, 0.0, 0.0, 0.9844941242651251, 0.015505875734874996], 6))
+def test_snap_near_faces_keeps_theta0_nonnegative(case):
+    u, order = case
+    coeffs, flags = _snap_boundaries(u, order)
+    theta = ThetaParams(order, coeffs)
+    assert theta.theta0 >= 0.0
+    assert validate_theta(theta).valid
 
 
 @pytest.mark.parametrize("order", range(2, 7))

@@ -2,10 +2,12 @@
 
 Oracles: scipy quadrature in x = -log p space for normalization, CDF,
 and moments; hand-computed beta coefficients for the coefficient maps;
-a 48-step bisection (the package's former sampler transform) and an
-mpmath root for the inverse CDF.
+exact rational membership of the simplex for validation; a 48-step
+bisection (the package's former sampler transform) and an mpmath root
+for the inverse CDF.
 """
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import integrate
 
-from conftest import THETA_BC3, THETA_TCGA
+from conftest import BOUNDARY_THETAS, THETA_BC3, THETA_TCGA, thetas
 from fdrdist import (
     BetaParams,
     ConstraintError,
@@ -25,12 +27,14 @@ from fdrdist import (
     cdf,
     chained_upper_bound,
     density,
+    fit,
     mix,
     moment,
     pi0_estimate,
     quantile,
     random_theta,
     require_valid,
+    select_order,
     theta_to_beta,
     validate_theta,
 )
@@ -39,13 +43,13 @@ from mp_oracles import beta_mp, cdf_mp
 
 
 def _valid_thetas():
-    """Deterministic spread of valid parameter vectors, orders 1 to 5."""
+    """Deterministic spread of valid parameter vectors, orders 1 to 6."""
     rng = np.random.default_rng(20240814)
     out = [ThetaParams.uniform(), THETA_BC3, THETA_TCGA]
     for order in (1, 2, 3, 4, 5):
         for _ in range(4):
             out.append(random_theta(order, rng))
-    return out
+    return out + list(BOUNDARY_THETAS)
 
 
 def _density_x(theta):
@@ -74,6 +78,38 @@ def test_theta_zero_coefficient_vectors():
     # strict-positivity rule on the leading coefficient for order >= 2
     assert t.theta0 == 1.0
     assert not validate_theta(t).valid
+
+
+_FIT_P = np.linspace(0.01, 1.0, 50)
+
+
+@pytest.mark.parametrize("call", [
+    lambda order: ThetaParams(order, (0.0,) * 3),
+    lambda order: BetaParams(order, (0.0,) * 3),
+    lambda order: random_theta(order, np.random.default_rng(0)),
+    lambda order: fit(_FIT_P, order),
+    lambda order: select_order(_FIT_P, order),
+], ids=["ThetaParams", "BetaParams", "random_theta", "fit", "select_order"])
+@pytest.mark.parametrize("order", [2.5, math.nan, math.inf, -1, 171, 10**400],
+                         ids=["2.5", "nan", "inf", "-1", "171", "1e400"])
+def test_orders_must_be_whole_and_at_most_170(call, order):
+    # 171! overflows a double, so order 171 has no weight u_171
+    with pytest.raises(InputError, match="order must be an integer"):
+        call(order)
+
+
+def test_whole_float_order_is_an_int():
+    theta = ThetaParams(2.0, (0.1, 0.1))
+    assert type(theta.order) is int and theta == ThetaParams(2, (0.1, 0.1))
+    assert validate_theta(theta).valid
+    assert cdf(0.5, theta) == cdf(0.5, ThetaParams(2, (0.1, 0.1)))
+    assert type(random_theta(3.0, np.random.default_rng(0)).order) is int
+    assert fit(_FIT_P, 2.0) == fit(_FIT_P, 2)
+    assert select_order(_FIT_P, 2.0) == select_order(_FIT_P, 2)
+    top = ThetaParams(170, (0.0,) * 169 + (1e-310,))
+    assert 0.0 < top.theta0 < 1.0
+    assert validate_theta(top).valid
+    assert 0.5 < cdf(0.5, top) < 1.0
 
 
 def test_padded_extends_with_zeros():
@@ -138,7 +174,7 @@ def test_chained_upper_bound_shrinks():
 
 
 def test_high_order_box_catches_negative_density():
-    # order 5 uses the same chained box as orders <= 4; theta0 = 1 - 1.68 < 0 here
+    # order 5 uses the same simplex as orders <= 4; theta0 = 1 - 1.68 < 0 here
     bad = ThetaParams(5, (0.5, 0.2, 0.05, 0.01, 0.002))
     report = validate_theta(bad)
     assert not report.valid
@@ -148,8 +184,9 @@ def test_high_order_box_catches_negative_density():
 
 def test_high_order_box_allows_rounding_slack():
     # orders 5 and 6 take theta_0 down to -1e-12, as orders <= 4 do: this
-    # theta_0 = -2.2e-16 is rounding from a fit on the boundary sum(u) = 1
-    edge = ThetaParams(6, (0.5579312537389813, 0.20026634464055168, 0.0, 0.0,
+    # theta_0 = -2.2e-16 is rounding, theta_1 one ulp above a fit on the
+    # boundary sum(u) = 1
+    edge = ThetaParams(6, (0.5579312537389814, 0.20026634464055168, 0.0, 0.0,
                            0.00016625771251640919, 2.99793492749254e-05))
     assert -3e-16 < edge.theta0 < 0.0
     assert validate_theta(edge).valid
@@ -165,7 +202,7 @@ def test_high_order_box_allows_rounding_slack():
 def test_high_order_density_negative_below_grid_is_rejected():
     # theta_0 > 0 and the density is positive and decreasing on
     # p in [1e-12, 1], but it turns negative further out: a grid over that
-    # range accepted it; the chained box rejects the negative theta_5
+    # range accepted it; the simplex rejects the negative theta_5
     theta = ThetaParams(6, (0.0, 0.0, 0.0, 0.045, -0.00138, 5e-06))
     assert theta.theta0 > 0.0
     grid = np.logspace(-12, 0, 10_000)
@@ -189,6 +226,65 @@ def test_random_theta_always_valid(order, seed):
     theta = random_theta(order, np.random.default_rng(seed))
     assert theta.order == order
     assert validate_theta(theta).valid
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_random_theta_is_uniform_on_the_simplex(order):
+    # uniform on the simplex, every weight u_j = j! theta_j is
+    # Beta(1, I) with mean 1/(I+1) and variance I/((I+1)^2 (I+2))
+    rng = np.random.default_rng(20261019)
+    draws = 20_000
+    fact = np.array([math.factorial(j) for j in range(1, order + 1)])
+    u = np.array([random_theta(order, rng).coeffs for _ in range(draws)]) * fact
+    se = math.sqrt(order / ((order + 1) ** 2 * (order + 2)) / draws)
+    assert np.all(np.abs(u.mean(axis=0) - 1.0 / (order + 1)) <= 4.0 * se)
+
+
+def _exact_member(theta):
+    """Membership of the simplex in exact rationals: u_i = i! theta_i of
+    the float coefficients, u >= 0, sum(u) <= 1, and u_I > 0 above order
+    1; also returns the distance to the nearest face."""
+    u = [Fraction(c) * math.factorial(i) for i, c in enumerate(theta.coeffs, start=1)]
+    member = min(u, default=0) >= 0 and sum(u) <= 1
+    if theta.order > 1:
+        member = member and u[-1] > 0
+    return member, min([abs(w) for w in u] + [abs(1 - sum(u))])
+
+
+def _near_face_thetas():
+    """Deterministic fuzz set: points on, inside and outside every face
+    of the simplex (u_i = 0, the strict u_I > 0 above order 1, the
+    order-1 interval ends and sum(u) = 1), at distances from 0 to 10
+    times I! * 1e-12 and at 1e-9."""
+    rng = np.random.default_rng(1019)
+    out = []
+    for order in range(1, 7):
+        fact = np.array([math.factorial(i) for i in range(1, order + 1)], dtype=float)
+        for _ in range(300):
+            u = rng.dirichlet(np.ones(order + 1))[1:]
+            zero = rng.random(order) < 0.4
+            u[zero] = 0.0
+            if rng.random() < 0.6 and not zero.all():
+                u /= u.sum()
+            scale = rng.choice([0.0, 1e-13, 1e-12, fact[-1] * 1e-12,
+                                10 * fact[-1] * 1e-12, 1e-9])
+            j = rng.integers(order)
+            u[j] += scale * rng.choice([-1.0, 1.0])
+            u[zero] += scale * rng.uniform(-1.0, 1.0, zero.sum())
+            out.append(ThetaParams(order, tuple(u / fact)))
+    return out
+
+
+def test_validate_matches_exact_simplex_membership():
+    # the verdict must be exact wherever rounding and the 1e-12 slack
+    # cannot matter: farther than I! * 1e-12 from every face
+    checked = 0
+    for theta in _near_face_thetas():
+        member, gap = _exact_member(theta)
+        if gap > math.factorial(theta.order) * Fraction(1e-12):
+            assert validate_theta(theta).valid == member, theta
+            checked += 1
+    assert checked > 500
 
 
 # ---------------------------------------------------------- density and cdf
@@ -380,11 +476,11 @@ def test_quantile_array_edges_match_bisection(name):
     assert got[0] == math.ulp(0.0)
 
 
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
-@example(order=1, seed=1243827)  # u = 5e-324: the root is 3.5e-324
-def test_quantile_array_matches_bisection_random_theta(order, seed):
+@given(thetas(1, 4), st.integers(min_value=0, max_value=2**32 - 1))
+# u = 5e-324: the root is 3.5e-324
+@example(theta=ThetaParams(1, (0.0005471879210481312,)), seed=1243827)
+def test_quantile_array_matches_bisection_random_theta(theta, seed):
     rng = np.random.default_rng(seed)
-    theta = random_theta(order, rng)
     u = np.concatenate([rng.uniform(size=64), [0.0, 5e-324, 1e-300, 1e-17, 0.5, 1.0]])
     np.testing.assert_allclose(_quantile_array(u, theta), _bisect_quantile(u, theta),
                                rtol=1e-11, atol=0.0)
@@ -415,6 +511,9 @@ def test_moment_rejects_bad_order():
         moment(0, THETA_BC3)
     with pytest.raises(InputError):
         moment(1.5, THETA_BC3)
+    for j in (math.nan, math.inf):
+        with pytest.raises(InputError, match="moment order"):
+            moment(j, THETA_BC3)
 
 
 # ------------------------------------------------------------------ mixture
