@@ -404,12 +404,18 @@ def _solve_x(u: np.ndarray, beta: np.ndarray, poly: np.ndarray) -> np.ndarray:
 
 
 def moment(j: int, theta: ThetaParams) -> float:
-    """E p^j = sum_{i=0..I} i! * theta_i / (j+1)^(i+1) for integer j >= 1."""
-    if not _is_whole(j, 1, math.inf):
-        raise InputError(f"moment order must be a positive integer, got {j}")
+    """E p^j = sum_{i=0..I} i! * theta_i / (j+1)^(i+1) for integer j in
+    [1, 2^53].  A power (j+1)^(i+1) past the float range is divided out
+    through its top 1000 bits and a power of two, so a term that underflows
+    comes back as its subnormal or 0 instead of raising."""
+    if not _is_whole(j, 1):
+        raise InputError(f"moment order must be an integer in [1, 2^53], got {j}")
+    j = int(j)
     total = theta.theta0 / (j + 1)
     for i, u in enumerate(_weights(theta.coeffs), start=1):
-        total += u / (j + 1) ** (i + 1)
+        power = (j + 1) ** (i + 1)
+        shift = max(power.bit_length() - 1000, 0)
+        total += math.ldexp(u / (power >> shift), -shift)
     return total
 
 

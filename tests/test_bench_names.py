@@ -45,18 +45,19 @@ def test_name_resolves_to_a_callable(module_name, name):
 def test_chunk_iterator_is_looked_up_through_the_module(monkeypatch):
     # the count_s probe replays drawn chunks by rebinding the module global
     # to a one-argument function: both entry points must read it at call
-    # time, and the counting path must pass the config alone
+    # time and pass the config alone.  Items are (lo, hi, coin, x), x on
+    # the Psi scale, which for the uniform marginal is the p-values
     cfg = SimConfig(n_tests=3, replicates=2, marginal=ThetaParams.uniform(),
                     alpha=0.05, seed=1)
     fixed = np.array([[0.001, 0.5, 0.9], [0.2, 0.5, 0.9]])
     calls = []
 
-    def replay(config, **kwargs):
-        calls.append((config, kwargs))
-        return iter([(0, 2, fixed.copy())])
+    def replay(*args, **kwargs):
+        calls.append((args, kwargs))
+        return iter([(0, 2, None, fixed.copy())])
 
     monkeypatch.setattr(simulate, "_iter_pvalue_chunks", replay)
     np.testing.assert_array_equal(simulate.sample_pvalues(cfg), fixed)
     emp = simulate.empirical_count_distribution(cfg, "bh")
     np.testing.assert_array_equal(emp.pmf, [0.5, 0.5])
-    assert calls == [(cfg, {"transform_all": True}), (cfg, {})]
+    assert calls == [((cfg,), {}), ((cfg,), {})]

@@ -511,9 +511,20 @@ def test_moment_rejects_bad_order():
         moment(0, THETA_BC3)
     with pytest.raises(InputError):
         moment(1.5, THETA_BC3)
-    for j in (math.nan, math.inf):
+    for j in (math.nan, math.inf, 2**53 + 1, 10**400):
         with pytest.raises(InputError, match="moment order"):
             moment(j, THETA_BC3)
+
+
+@pytest.mark.parametrize("order, j", [(40, 2**53), (170, 10), (170, 2**53), (6, 10**12)])
+def test_moment_at_powers_past_the_float_range(order, j):
+    # (j+1)^(order+1) is past the float range for all but the last case;
+    # the oracle is the exact rational sum, rounded once
+    theta = ThetaParams(order, (0.0,) * (order - 1) + (0.5 / math.factorial(order),))
+    weights = [Fraction(theta.theta0)] + [
+        Fraction(math.factorial(i) * c) for i, c in enumerate(theta.coeffs, start=1)]
+    exact = float(sum(u / (j + 1) ** (i + 1) for i, u in enumerate(weights)))
+    assert moment(j, theta) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 # ------------------------------------------------------------------ mixture

@@ -9,6 +9,7 @@ words [r*m, (r+1)*m) of one ``Philox(key=seed)`` stream drawn in a
 single call.
 """
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,7 +138,10 @@ def test_uniform_rows_are_the_documented_substreams(seed, monkeypatch):
 @pytest.mark.parametrize("gamma", [1.0, 1.7])
 def test_copula_rows_use_positive_stable_frailties(gamma, monkeypatch):
     # words 0 and 1 of a row drive positive_stable by inversion
-    # (W = pi U_0, E = -log1p(-U_1)); words 2.. are the exponentials
+    # (W = pi U_0, E = -log1p(-U_1)); words 2.. are the exponentials.
+    # The sampler works in log S and never forms S, so its values are
+    # exp(-exp((log E_i - log S) / gamma)) exactly, and exp(-(E_i/S)^(1/gamma))
+    # up to rounding
     _three_row_chunks(monkeypatch)
     cfg = _config(n_tests=101, seed=2**63 + 5, replicates=7,
                   dependence=GumbelCopula(gamma))
@@ -149,7 +153,30 @@ def test_copula_rows_use_positive_stable_frailties(gamma, monkeypatch):
             exponential=lambda scale, size, r=r: -scale * np.log1p(-u[r, 1:2]))
         s = positive_stable(gamma, rng, 1)[0]
         e = -np.log1p(-u[r, 2:])
-        np.testing.assert_array_equal(got[r], np.exp(-((e / s) ** (1.0 / gamma))))
+        log_s = simulate._log_kanter(gamma, math.pi * u[r, :1], -np.log1p(-u[r, 1:2]))[0]
+        np.testing.assert_array_equal(got[r], np.exp(-np.exp((np.log(e) - log_s) / gamma)))
+        np.testing.assert_allclose(got[r], np.exp(-((e / s) ** (1.0 / gamma))), rtol=1e-13)
+
+
+def test_copula_sampler_at_large_gamma():
+    # at gamma = 1000 the frailty S itself overflows and underflows in a
+    # double (about half the draws); the sampler must never form it.
+    # Oracles: E[B] = n Psi(alpha / n) for the Bonferroni count, and the
+    # marginal alone at n = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = _config(n_tests=5, replicates=50_000, marginal=THETA_BC3, alpha=0.01,
+                      seed=3, dependence=GumbelCopula(1000.0))
+        emp = empirical_count_distribution(cfg, "bonferroni")
+        k = np.arange(emp.pmf.size)
+        mean = float(k @ emp.pmf)
+        se = math.sqrt((float(k * k @ emp.pmf) - mean * mean) / cfg.replicates)
+        assert abs(mean - 5 * cdf(0.002, THETA_BC3)) <= 4 * se
+        one = empirical_count_distribution(
+            _config(n_tests=1, replicates=50_000, marginal=THETA_BC3, alpha=0.01,
+                    seed=3, dependence=GumbelCopula(1000.0)), "bonferroni")
+        q = cdf(0.01, THETA_BC3)
+        assert abs(one.prob(1) - q) <= 4 * math.sqrt(q * (1 - q) / 50_000)
 
 
 def test_latent_rows_are_the_documented_words(monkeypatch):
@@ -341,10 +368,10 @@ def _brute_force_pmf(cfg, rule):
 
 
 def test_empirical_matches_brute_force_counts():
-    # the counting path transforms only uniforms at or below its cut
-    # Psi(alpha)(1 + 1e-8), so the oracle counts sample_pvalues, which
-    # transforms every entry; at n = 3, alpha = 0.05 the last step-down
-    # threshold, 0.05000000000000001, lies above alpha
+    # the counting path compares Psi-scale values with Psi(t_i), so the
+    # oracle counts sample_pvalues, which transforms every entry; at
+    # n = 3, alpha = 0.05 the last step-down threshold,
+    # 0.05000000000000001, lies above alpha
     cfg = _config(n_tests=50, replicates=300, marginal=THETA_BC3, seed=31)
     emp = empirical_count_distribution(cfg, rule="bh")
     np.testing.assert_array_equal(emp.pmf, _brute_force_pmf(cfg, "bh"))
@@ -366,6 +393,86 @@ def test_empirical_matches_brute_force_counts():
                     np.testing.assert_array_equal(
                         empirical_count_distribution(cfg, rule).pmf,
                         _brute_force_pmf(cfg, rule), err_msg=f"{cfg} {rule}")
+
+
+def _near_threshold_rows(theta, alpha, n, rule):
+    """Psi-scale rows whose entries sit at or next to b_i = Psi(t_i).
+
+    About 44 % of the entries u = Psi(t_i) invert to a computed p above
+    t_i at n = 200 (breast-cancer theta), so these rows fall between the
+    two ends of every band and only the exact transform counts them.
+    Step-down: row j keeps entries i < j safely below their threshold and
+    the rest on it.  Bonferroni: entries Psi(alpha/n)(1 + k 1e-15)."""
+    t = np.arange(1, n + 1) * alpha / n
+    b = cdf(t, theta)
+    if rule == "bh":
+        return np.array([np.where(np.arange(n) < j, b * (1 - 1e-6), b)
+                         for j in range(0, 40, 2)])
+    k = np.arange(n) - n // 2
+    return np.array([b[0] * (1 + (k + s) * 1e-15) for s in range(-3, 4)])
+
+
+@pytest.mark.parametrize("rule, alpha", [("bh", 0.05), ("bonferroni", 0.1)])
+@pytest.mark.parametrize("dep", [Independent(), Latent(HALF_SIG)], ids=["ind", "latent"])
+def test_rows_inside_the_band_are_recounted_exactly(rule, alpha, dep, monkeypatch):
+    # both entry points read the replayed Psi-scale chunk: the counting
+    # path must give the counts of the fully transformed matrix, each
+    # latent half through its own theta (True coins draw theta - eps)
+    n = 200
+    halves = (perturbed_pair(THETA_BC3, HALF_SIG) if isinstance(dep, Latent)
+              else (THETA_BC3,))
+    blocks = [_near_threshold_rows(theta, alpha, n, rule) for theta in halves]
+    x = np.concatenate(blocks)
+    coin = None
+    if len(blocks) == 2:
+        coin = np.repeat([True, False], [len(blk) for blk in blocks])
+    monkeypatch.setattr(simulate, "_iter_pvalue_chunks",
+                        lambda config: iter([(0, len(x), coin, x.copy())]))
+    cfg = SimConfig(n_tests=n, replicates=len(x), marginal=THETA_BC3,
+                    alpha=alpha, seed=1, dependence=dep)
+    expected = _brute_force_pmf(cfg, rule)
+    support = np.flatnonzero(expected)
+    assert 0 < support[0] and support[-1] < n
+    np.testing.assert_array_equal(empirical_count_distribution(cfg, rule).pmf, expected)
+
+
+@pytest.mark.parametrize("rule", ["bh", "bonferroni"])
+def test_subnormal_threshold_has_no_lower_band(rule, monkeypatch):
+    # below 2^-1022 a relative band says nothing: at alpha = 1e-320 the
+    # entry Psi(alpha)(1 + 1e-6) still inverts to a p <= alpha, because
+    # the subnormal p is rounded to a grid of relative step 5e-4
+    b = cdf(1e-320, THETA_BC3)
+    x = np.array([[b * (1 + 1e-6)], [b * (1 - 1e-6)], [1e-290], [0.5]])
+    monkeypatch.setattr(simulate, "_iter_pvalue_chunks",
+                        lambda config: iter([(0, 4, None, x.copy())]))
+    cfg = _config(n_tests=1, replicates=4, marginal=THETA_BC3, alpha=1e-320)
+    expected = _brute_force_pmf(cfg, rule)
+    np.testing.assert_array_equal(expected, [0.5, 0.5])
+    np.testing.assert_array_equal(empirical_count_distribution(cfg, rule).pmf, expected)
+
+
+def test_bench_shapes_invert_nothing_while_counting(monkeypatch):
+    # the four monte-carlo bench commands at a tenth of their replicates:
+    # the counting path inverts no row, and sample_pvalues every entry
+    inverted = []
+
+    def counted(u, theta):
+        inverted.append(u.size)
+        return _quantile_array(u, theta)
+
+    monkeypatch.setattr(simulate, "_quantile_array", counted)
+    shapes = ((ThetaParams.uniform(), Independent(), "bh", 10_000),
+              (THETA_BC3, Independent(), "bh", 2000),
+              (THETA_BC3, Latent(HALF_SIG), "bh", 2000),
+              (THETA_BC3, GumbelCopula(1.3), "bonferroni", 2000))
+    for marginal, dep, rule, reps in shapes:
+        cfg = SimConfig(n_tests=200, replicates=reps, marginal=marginal,
+                        alpha=0.05, seed=1901, dependence=dep)
+        inverted.clear()
+        empirical_count_distribution(cfg, rule)
+        assert inverted == [], cfg
+        sample_pvalues(cfg)
+        assert sum(inverted) == (0 if marginal.order == 0 else reps * 200), cfg
 
 
 def test_empirical_standard_errors():
