@@ -175,11 +175,11 @@ def _truncated(setup: TestingSetup, pmf: np.ndarray, tail_tol: float | None,
     """Finish an exact count law: cut pmf[0..] at the smallest k with
     Pr[X > k] <= tail_tol, capped at n, or keep it whole when tail_tol is
     None (a forced k_max) or no k qualifies.  Pr[X > k] is ``beyond``, the
-    mass known to lie past the entries (None: max(1 - sum, 0)), plus the
-    entries above k summed from the right, which keeps a small tail's
-    relative accuracy."""
+    mass known to lie past the entries (None: 0 when they run to k = n,
+    else max(1 - sum, 0)), plus the entries above k summed from the right,
+    which keeps a small tail's relative accuracy."""
     if beyond is None:
-        beyond = max(1.0 - float(pmf.sum()), 0.0)
+        beyond = 0.0 if pmf.size > setup.n else max(1.0 - float(pmf.sum()), 0.0)
     above = np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0) + beyond  # Pr[X > k]
     cut = np.flatnonzero(above <= tail_tol) if tail_tol is not None else ()
     k_max = min(int(cut[0]), setup.n) if len(cut) else pmf.size - 1
@@ -338,6 +338,12 @@ def _capped_thresholds(setup: TestingSetup, tail_tol: float) -> np.ndarray:
         b = np.concatenate((b, _thresholds(setup, b.size, hi)))
 
 
+# The mass past a capped pass is read as 1 - sum(pmf), which carries the
+# rounding of every entry: up to about 10 (cap + 1) 2^-53 in random trials
+# at n <= 3000.  Cuts this close to tail_tol, per entry, are redone.
+_BEYOND_ROUNDING = 2.0**-48
+
+
 def bh_pmf(setup: TestingSetup, tail_tol: float = 1e-9,
            k_max: int | None = None) -> CountDistribution:
     """Exact pmf of the step-down count, in double precision.
@@ -348,14 +354,25 @@ def bh_pmf(setup: TestingSetup, tail_tol: float = 1e-9,
     also gives the cost before any work: about sum_j (cap - j) w_j
     multiply-adds, where the kernel widths w_j stay below 240 on the case
     studies and the pilot power grid.
+
+    Below k = n the cut reads the mass past the cap as 1 - sum(pmf).  When
+    Pr[X > k] at the cut or just before it lies within that sum's rounding
+    (cap + 1) 2^-48 of tail_tol, the cut is not decided, and a second pass
+    runs to the cap for tail_tol 2^-53 and cuts with no mass past it, as a
+    pass to k = n would.
     """
     _check_tail_tol(tail_tol, "the step-down pmf")
-    if k_max is None:
-        b = _capped_thresholds(setup, tail_tol)
-    else:
+    if k_max is not None:
         b = _thresholds(setup, 0, _forced_k_max(k_max, setup.n) + 2)
-    pmf = np.exp(_step_down_logs(setup.n, b)[1])
-    return _truncated(setup, pmf, tail_tol if k_max is None else None)
+        return _truncated(setup, np.exp(_step_down_logs(setup.n, b)[1]), None)
+    pmf = np.exp(_step_down_logs(setup.n, _capped_thresholds(setup, tail_tol))[1])
+    dist = _truncated(setup, pmf, tail_tol)
+    band, k = pmf.size * _BEYOND_ROUNDING, dist.k_max
+    if pmf.size > setup.n or (dist.tail_mass <= tail_tol - band and (
+            k == 0 or dist.tail_mass + pmf[k] > tail_tol + band)):
+        return dist
+    b = _capped_thresholds(setup, tail_tol * 2.0**-53)
+    return _truncated(setup, np.exp(_step_down_logs(setup.n, b)[1]), tail_tol, 0.0)
 
 
 def bh_pmf_uniform_exact(n: int, alpha: float, k: int) -> float:

@@ -449,6 +449,12 @@ def test_bh_pmf_matches_full_kernel_recursion(setup):
     st.floats(min_value=0.005, max_value=0.9),
     st.floats(min_value=-12.0, max_value=-2.0),
 )
+# Pr[X > 254] is 1.0016e-12 from the full pass; the capped pass read it
+# as 0.99986e-12 from 1 - sum(pmf) and cut one count lower
+@example(theta=ThetaParams(5, (0.053884689401785466, 0.17713111098564033,
+                               0.02351645663941679, 0.013725376378412465,
+                               0.0003106418766243892)),
+         n=303, alpha=0.10238157266017046, log10_tol=-12.0)
 def test_step_down_cap_is_a_bound(theta, n, alpha, log10_tol):
     # a full pass to k = n puts at most tail_tol above the a-priori cap,
     # up to the rounding of its sum, and the capped pass cuts where the
