@@ -39,6 +39,24 @@ fully transformed matrix, and no other entry is inverted:
 
 For the uniform marginal b is t and the transform the identity, so there
 is no band and no recount.
+
+Most rows count 0, and a screen finds them before any sort or transform.
+Let b_hi_1 be the top of a marginal's first band (t_1 for the uniform
+marginal).  A row whose smallest Psi-scale entry lies above the b_hi_1 of
+its own marginal has N_hi(t_1) = 0: its computed p-values all exceed t_1,
+so K_lo = K_hi = 0 and it counts 0 under either rule.  Only the other
+rows are gathered, sorted and counted as above; the chunk itself is never
+written.
+
+For the copula the Psi-scale value x(U) = exp(-exp((log E - log S) /
+gamma)), E = -log1p(-U), decreases in U, so exactly x(U_i) >= x(max U)
+within a row.  Given the row's one computed log S, a computed x of at
+least 2^-1022 near b is within about 1e-13 relative of the exact one
+(|log E| <= 37 for every double U > 0), far inside delta.  So a row whose
+largest uniform has a computed x above max(b_hi_1, 2^-1022)(1 + delta)
+has every computed entry above b_hi_1, and counts 0.  Only the rows kept
+run the whole chain, through the one helper :func:`sample_pvalues` uses,
+so their values are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -113,18 +131,18 @@ def _chunk_rows(n_tests: int, replicates: int) -> int:
 def positive_stable(gamma: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Positive-stable frailties S with Laplace transform exp(-t^(1/gamma)).
 
-    Draws ``size`` uniforms W on (0, pi), then ``size`` standard
-    exponentials E, and returns exp of :func:`_log_kanter` of them.
-    gamma = 1 degenerates to S = 1 (independence); the two driving
-    variates are still consumed, so the draws taken from ``rng`` do not
-    depend on gamma.
+    Draws ``size`` uniforms U, then ``size`` more U', and returns exp of
+    :func:`_log_kanter` of W = pi U and E = -log1p(-U'): the sampler's
+    inversion, so ``rng`` gives exactly 2 size doubles.  gamma = 1
+    degenerates to S = 1 (independence); the two driving variates are
+    still consumed, so the draws taken from ``rng`` do not depend on gamma.
     """
     _check_gamma(gamma)
     if not _is_whole(size, 0):
         raise InputError(f"size must be an integer in [0, 2^53], got {size}")
     size = int(size)
-    w = rng.uniform(0.0, math.pi, size)
-    e = rng.exponential(1.0, size)
+    w = math.pi * rng.random(size)
+    e = -np.log1p(-rng.random(size))
     return np.exp(_log_kanter(gamma, w, e))
 
 
@@ -142,6 +160,22 @@ def _log_kanter(gamma: float, w: np.ndarray, e: np.ndarray) -> np.ndarray:
         return np.zeros(w.shape)
     a = 1.0 / gamma
     return _log_kanter_a(gamma, w) - (1.0 - a) / a * np.log(e)
+
+
+def _copula_psi(u: np.ndarray, log_s: np.ndarray, gamma: float,
+                out: np.ndarray = None) -> np.ndarray:
+    """The copula's Psi-scale values exp(-exp((log E_i - log S) / gamma))
+    of the 2-D uniforms ``u``, E_i = -log1p(-U_i), with one log S per row;
+    decreasing in U.  Written to ``out`` if given.  Both entry points call
+    this one chain, so its values do not depend on which of them asked."""
+    x = np.negative(u, out=out)
+    np.negative(np.log1p(x, out=x), out=x)
+    with np.errstate(divide="ignore"):
+        np.log(x, out=x)
+    x -= log_s[:, None]
+    x /= gamma
+    np.exp(x, out=x)
+    return np.exp(np.negative(x, out=x), out=x)
 
 
 # relative half-width of the band around each Psi-scale threshold: covers
@@ -174,10 +208,11 @@ def _marginals(config: SimConfig) -> tuple:
     return (config.marginal,)
 
 
-def _halves(coin) -> tuple:
-    """Row selectors in the order of :func:`_marginals`: None (every row)
-    for one marginal, else the coin and its complement."""
-    return (None,) if coin is None else (coin, ~coin)
+def _halves(dep: DependenceSpec, aux) -> tuple:
+    """Row selectors in the order of :func:`_marginals`, from the ``aux``
+    of a chunk: in the latent model its coin and the complement, else
+    None (every row)."""
+    return (aux, ~aux) if isinstance(dep, Latent) else (None,)
 
 
 def sample_pvalues(config: SimConfig) -> np.ndarray:
@@ -197,25 +232,30 @@ def sample_pvalues(config: SimConfig) -> np.ndarray:
     Exponentials are drawn by inversion, so every row takes exactly m words.
     """
     out = np.empty((config.replicates, config.n_tests))
-    marginals = _marginals(config)
-    for lo, hi, coin, x in _iter_pvalue_chunks(config):
+    dep, marginals = config.dependence, _marginals(config)
+    for lo, hi, aux, x in _iter_pvalue_chunks(config):
         block = out[lo:hi]
-        block[...] = x
+        if isinstance(dep, GumbelCopula):
+            _copula_psi(x, aux, dep.gamma, out=block)
+        else:
+            block[...] = x
         del x
-        for theta, rows in zip(marginals, _halves(coin)):
+        for theta, rows in zip(marginals, _halves(dep, aux)):
             _transform_rows(block, theta, rows)
     return out
 
 
 def _iter_pvalue_chunks(config: SimConfig):
-    """Yield (lo, hi, coin, x) for blocks of replicates, without holding
+    """Yield (lo, hi, aux, x) for blocks of replicates, without holding
     the whole run in memory.
 
-    ``x`` holds rows lo..hi on the Psi scale: the values the marginal's
-    inverse CDF maps to the p-values of :func:`sample_pvalues` (the
-    uniforms, or the copula's transformed uniforms).  ``coin`` is None,
-    or in the latent model the boolean row vector that is True where a
-    row is drawn from theta - eps.
+    For the independent and latent models ``x`` holds rows lo..hi on the
+    Psi scale: the uniforms the marginal's inverse CDF maps to the
+    p-values of :func:`sample_pvalues`.  ``aux`` is None, or in the latent
+    model the boolean row vector that is True where a row is drawn from
+    theta - eps.  For the copula ``x`` is the view U_2.. of the rows'
+    uniforms and ``aux`` their log S: :func:`_copula_psi` of the two is
+    the Psi scale.
     """
     n, reps, dep = config.n_tests, config.replicates, config.dependence
     m = n + {Independent: 0, Latent: 1, GumbelCopula: 2}[type(dep)]
@@ -225,28 +265,19 @@ def _iter_pvalue_chunks(config: SimConfig):
         bg = np.random.Philox(key=config.seed, counter=lo * m // 4)
         bg.random_raw(lo * m % 4)
         u = np.random.Generator(bg).random((hi - lo, m))
-        coin = None
+        aux = None
         if isinstance(dep, Independent):
             x = u
         elif isinstance(dep, Latent):
-            coin = u[:, 0] < 0.5
+            aux = u[:, 0] < 0.5
             x = u[:, 1:]
         else:
-            log_s = _log_kanter(dep.gamma, math.pi * u[:, 0], -np.log1p(-u[:, 1]))
-            # one contiguous copy of -U, then log E_i in place
-            x = np.negative(u[:, 2:])
-            del u
-            np.negative(np.log1p(x, out=x), out=x)
-            with np.errstate(divide="ignore"):
-                np.log(x, out=x)
-            x -= log_s[:, None]
-            x /= dep.gamma
-            np.exp(x, out=x)
-            np.exp(np.negative(x, out=x), out=x)
+            aux = _log_kanter(dep.gamma, math.pi * u[:, 0], -np.log1p(-u[:, 1]))
+            x = u[:, 2:]
         # the yielded matrix alone holds this chunk while the next is drawn
         u = None
-        yield lo, hi, coin, x
-        del x, coin
+        yield lo, hi, aux, x
+        del x, aux
 
 
 @dataclass(frozen=True)
@@ -293,34 +324,45 @@ def _bands(theta: ThetaParams, t: np.ndarray) -> tuple:
     return np.where(t < _NORMAL_MIN, -1.0, b * (1.0 - _BAND)), b * (1.0 + _BAND)
 
 
-def _discoveries(x: np.ndarray, coin, marginals: tuple, bands: list,
-                 t: np.ndarray, bh: bool) -> np.ndarray:
-    """Discoveries in each row of the Psi-scale chunk ``x`` (sorted in
-    place for the step-down rule), one block of rows at a time.  Each row
-    is counted against both ends of its marginal's band; a row whose two
-    counts differ is recounted from its exact transform."""
-    k = np.empty(x.shape[0], dtype=np.intp)
+def _discoveries(x: np.ndarray, aux, dep: DependenceSpec, marginals: tuple,
+                 bands: list, t: np.ndarray, bh: bool) -> np.ndarray:
+    """Discoveries in each row of the chunk ``x``, one block of rows at a
+    time; ``x`` is not modified.  A row whose smallest Psi-scale entry
+    lies above the top of its marginal's first band counts 0 (module
+    docstring), so only the other rows are gathered, put on the Psi scale
+    (copula), sorted (step-down) and counted against both ends of their
+    marginal's band; a row whose two counts differ is recounted from its
+    exact transform."""
+    copula = isinstance(dep, GumbelCopula)
+    k = np.zeros(x.shape[0], dtype=np.intp)
     step = max(1, _QUANTILE_SLICE // x.shape[1])
     for lo in range(0, x.shape[0], step):
         block = x[lo:lo + step]
-        if bh:
-            block.sort(axis=1)
-        halves = _halves(None if coin is None else coin[lo:lo + step])
-        if halves[0] is None:
-            b_lo, b_hi = bands[0]
+        part = None if aux is None else aux[lo:lo + step]
+        if copula:
+            # the smallest Psi-scale value of a row is that of its largest U
+            low = _copula_psi(block.max(axis=1)[:, None], part, dep.gamma)[:, 0]
         else:
-            b_lo, b_hi = (np.where(halves[0][:, None], minus, plus)
-                          for minus, plus in zip(*bands))
-        k_lo = _count(block, b_lo, bh)
-        if b_hi is not b_lo:
-            redo = k_lo != _count(block, b_hi, bh)
-            for theta, rows in zip(marginals, halves):
-                sel = np.flatnonzero(redo if rows is None else redo & rows)
-                if sel.size:
-                    p = _quantile_array(block[sel], theta)
+            low = block.min(axis=1)
+        for theta, rows, (b_lo, b_hi) in zip(marginals, _halves(dep, part), bands):
+            top = max(b_hi[0], _NORMAL_MIN) * (1.0 + _BAND) if copula else b_hi[0]
+            live = low <= top
+            sel = np.flatnonzero(live if rows is None else live & rows)
+            if not sel.size:
+                continue
+            y = block[sel]
+            if copula:
+                _copula_psi(y, part[sel], dep.gamma, out=y)
+            if bh:
+                y.sort(axis=1)
+            k_sel = _count(y, b_lo, bh)
+            if b_hi is not b_lo:
+                redo = np.flatnonzero(k_sel != _count(y, b_hi, bh))
+                if redo.size:
+                    p = _quantile_array(y[redo], theta)
                     p.sort(axis=1)
-                    k_lo[sel] = _count(p, t, bh)
-        k[lo:lo + step] = k_lo
+                    k_sel[redo] = _count(p, t, bh)
+            k[lo + sel] = k_sel
     return k
 
 
@@ -329,11 +371,13 @@ def empirical_count_distribution(config: SimConfig,
     """Apply a counting rule to every simulated replicate and normalize.
 
     ``rule`` is "bh" (step-down) or "bonferroni".  Standard errors are
-    binomial: sqrt(phat (1 - phat) / replicates) per cell.  Rows are
-    counted on the Psi scale, and only a row whose count an entry within
-    1e-8 relative of a threshold Psi(t_i) leaves open is transformed and
-    recounted; the counts equal those of the fully transformed
-    :func:`sample_pvalues` matrix (module docstring).
+    binomial: sqrt(phat (1 - phat) / replicates) per cell.  A row whose
+    smallest Psi-scale entry lies above the top of the first band counts
+    0 without a sort or transform.  The other rows are counted on the
+    Psi scale, and only a row whose count an entry within 1e-8 relative
+    of a threshold Psi(t_i) leaves open is transformed and recounted; the
+    counts equal those of the fully transformed :func:`sample_pvalues`
+    matrix (module docstring).
     """
     rule_key = str(rule).lower()
     if rule_key not in _RULES:
@@ -343,10 +387,10 @@ def empirical_count_distribution(config: SimConfig,
     t = np.arange(1, n + 1 if bh else 2) * alpha / n
     marginals = _marginals(config)
     bands = [_bands(theta, t) for theta in marginals]
-    for _, _, coin, chunk in _iter_pvalue_chunks(config):
-        k = _discoveries(chunk, coin, marginals, bands, t, bh)
+    for _, _, aux, chunk in _iter_pvalue_chunks(config):
+        k = _discoveries(chunk, aux, config.dependence, marginals, bands, t, bh)
         # drop the chunk before the next one is drawn
-        del chunk, coin
+        del chunk, aux
         counts += np.bincount(k, minlength=n + 1)
     k_max = int(np.nonzero(counts)[0][-1])
     pmf = counts[: k_max + 1] / config.replicates

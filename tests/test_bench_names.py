@@ -45,8 +45,9 @@ def test_name_resolves_to_a_callable(module_name, name):
 def test_chunk_iterator_is_looked_up_through_the_module(monkeypatch):
     # the count_s probe replays drawn chunks by rebinding the module global
     # to a one-argument function: both entry points must read it at call
-    # time and pass the config alone.  Items are (lo, hi, coin, x), x on
-    # the Psi scale, which for the uniform marginal is the p-values
+    # time and pass the config alone.  Items are (lo, hi, aux, x); in the
+    # independent model aux is None and x is on the Psi scale, which for
+    # the uniform marginal is the p-values
     cfg = SimConfig(n_tests=3, replicates=2, marginal=ThetaParams.uniform(),
                     alpha=0.05, seed=1)
     fixed = np.array([[0.001, 0.5, 0.9], [0.2, 0.5, 0.9]])

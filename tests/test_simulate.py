@@ -8,6 +8,7 @@ never inverts the CDF, and the documented layout: row r rebuilt from
 words [r*m, (r+1)*m) of one ``Philox(key=seed)`` stream drawn in a
 single call.
 """
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -148,10 +149,8 @@ def test_copula_rows_use_positive_stable_frailties(gamma, monkeypatch):
     got = sample_pvalues(cfg)
     u = _stream(cfg.seed, 7, 103)
     for r in range(7):
-        rng = SimpleNamespace(
-            uniform=lambda lo, hi, size, r=r: lo + (hi - lo) * u[r, :1],
-            exponential=lambda scale, size, r=r: -scale * np.log1p(-u[r, 1:2]))
-        s = positive_stable(gamma, rng, 1)[0]
+        words = iter([u[r, :1], u[r, 1:2]])
+        s = positive_stable(gamma, SimpleNamespace(random=lambda size: next(words)), 1)[0]
         e = -np.log1p(-u[r, 2:])
         log_s = simulate._log_kanter(gamma, math.pi * u[r, :1], -np.log1p(-u[r, 1:2]))[0]
         np.testing.assert_array_equal(got[r], np.exp(-np.exp((np.log(e) - log_s) / gamma)))
@@ -436,6 +435,57 @@ def test_rows_inside_the_band_are_recounted_exactly(rule, alpha, dep, monkeypatc
     np.testing.assert_array_equal(empirical_count_distribution(cfg, rule).pmf, expected)
 
 
+def _screen_rows(theta, alpha, n):
+    """Psi-scale rows whose smallest entry sits at the screen's top
+    b_hi[0], one ulp above or below it, or inside the first band at
+    b_0 (1 - delta / 2), which always inverts to a p <= t_1.  The other
+    entries are b_i (1 - 1e-6), below their thresholds and above the
+    first, so each row counts 0 or n (step-down), 0 or 1 (Bonferroni)."""
+    t = np.arange(1, n + 1) * alpha / n
+    b, top = cdf(t, theta), simulate._bands(theta, t)[1][0]
+    lows = [top, np.nextafter(top, 1.0), np.nextafter(top, 0.0),
+            b[0] * (1 - 0.5 * simulate._BAND)]
+    return np.array([np.concatenate([[low], b[1:] * (1 - 1e-6)]) for low in lows])
+
+
+def _copula_uniforms(x, gamma):
+    """(U, log S) whose copula chain gives about the Psi-scale rows ``x``:
+    log S is set per row so that E stays below 1, where U = 1 - e^-E
+    resolves E to about 1e-16 relative."""
+    log_s = np.log(0.5) - gamma * np.log(-np.log(x.min(axis=1)))
+    log_s += np.linspace(-1.0, 0.0, len(x))
+    e = np.exp(log_s[:, None] + gamma * np.log(-np.log(x)))
+    return -np.expm1(-e), log_s
+
+
+@pytest.mark.parametrize("rule, alpha", [("bh", 0.05), ("bonferroni", 0.1)])
+@pytest.mark.parametrize("marginal, dep", [
+    (ThetaParams.uniform(), Independent()), (THETA_BC3, Independent()),
+    (THETA_BC3, Latent(HALF_SIG)), (THETA_BC3, GumbelCopula(1.3))],
+    ids=["uniform", "fitted", "latent", "copula"])
+def test_screen_keeps_every_row_that_can_count(rule, alpha, marginal, dep, monkeypatch):
+    # a row is screened out when its smallest Psi-scale entry lies above
+    # the top of its own marginal's first band (for the copula, that of
+    # its largest uniform); rows at and around that top must count as
+    # the fully transformed matrix does
+    n = 200
+    cfg = SimConfig(n_tests=n, replicates=1, marginal=marginal, alpha=alpha, seed=1,
+                    dependence=dep)
+    halves = simulate._marginals(cfg)
+    blocks = [_screen_rows(theta, alpha, n) for theta in halves]
+    x, aux = np.concatenate(blocks), None
+    if isinstance(dep, Latent):
+        aux = np.repeat([True, False], [len(blk) for blk in blocks])
+    elif isinstance(dep, GumbelCopula):
+        x, aux = _copula_uniforms(x, dep.gamma)
+    monkeypatch.setattr(simulate, "_iter_pvalue_chunks",
+                        lambda config: iter([(0, len(x), aux, x.copy())]))
+    cfg = dataclasses.replace(cfg, replicates=len(x))
+    expected = _brute_force_pmf(cfg, rule)
+    assert 0 < expected[0] < 1
+    np.testing.assert_array_equal(empirical_count_distribution(cfg, rule).pmf, expected)
+
+
 @pytest.mark.parametrize("rule", ["bh", "bonferroni"])
 def test_subnormal_threshold_has_no_lower_band(rule, monkeypatch):
     # below 2^-1022 a relative band says nothing: at alpha = 1e-320 the
@@ -473,6 +523,49 @@ def test_bench_shapes_invert_nothing_while_counting(monkeypatch):
         assert inverted == [], cfg
         sample_pvalues(cfg)
         assert sum(inverted) == (0 if marginal.order == 0 else reps * 200), cfg
+
+
+@pytest.mark.parametrize("rule", ["bh", "bonferroni"])
+def test_copula_chain_runs_on_live_rows_only(rule, monkeypatch):
+    # the bench copula shape at a tenth of its replicates: the counting
+    # path puts fewer than half of the draws through the copula chain,
+    # sample_pvalues every one, and a gathered row's chain is bit for bit
+    # the one sample_pvalues transforms
+    seen, original = [], simulate._copula_psi
+
+    def chain(u, log_s, gamma, out=None):
+        x = original(u, log_s, gamma, out)
+        seen.append(x.copy())
+        return x
+
+    monkeypatch.setattr(simulate, "_copula_psi", chain)
+    cfg = SimConfig(n_tests=200, replicates=2000, marginal=THETA_BC3, alpha=0.05,
+                    seed=1901, dependence=GumbelCopula(1.3))
+    empirical_count_distribution(cfg, rule)
+    counted = seen[:]
+    seen.clear()
+    sample_pvalues(cfg)
+    assert sum(x.size for x in seen) == 2000 * 200
+    assert sum(x.size for x in counted) < 2000 * 200 / 2
+    whole = {row.tobytes() for x in seen for row in x}
+    gathered = [row for x in counted if x.shape[1] == 200 for row in x]
+    assert gathered and all(row.tobytes() in whole for row in gathered)
+
+
+@pytest.mark.parametrize("dep", MODELS)
+def test_counting_leaves_the_chunks_untouched(dep, monkeypatch):
+    # both entry points read replayed chunks without writing to them, so
+    # a replay (as the benchmark's count probe makes) sees the same draws
+    cfg = _config(marginal=THETA_BC3, dependence=dep, replicates=300)
+    drawn = list(simulate._iter_pvalue_chunks(cfg))
+    kept = [(None if aux is None else aux.copy(), x.copy()) for *_, aux, x in drawn]
+    monkeypatch.setattr(simulate, "_iter_pvalue_chunks", lambda config: iter(drawn))
+    for rule in ("bh", "bonferroni"):
+        empirical_count_distribution(cfg, rule)
+    sample_pvalues(cfg)
+    for (*_, aux, x), (aux0, x0) in zip(drawn, kept, strict=True):
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(aux, aux0)
 
 
 def test_empirical_standard_errors():
