@@ -246,6 +246,10 @@ def _poisson_pmf(mean: float, log_fact: np.ndarray) -> np.ndarray:
 # together they move no entry of H by more than this times H's total
 _TINY = 1e-300
 
+# H's scale in the step-down pass: its largest entry lies in
+# [2^(_TOP-1), 2^_TOP), far above the subnormal range, and below overflow
+_TOP = 1000
+
 
 def _thresholds(setup: TestingSetup, lo: int, hi: int) -> np.ndarray:
     """b_j = Psi(j alpha / n) for j = lo..hi - 1, with arguments past 1
@@ -264,31 +268,43 @@ def _step_down_logs(n: int, b: np.ndarray):
     H_{j-1} by convolving with the Poisson law of the points in
     (b_{j-1}, b_j] and dropping m < j.  Every term is nonnegative, so
     nothing cancels.  Each kernel is cut after its last entry >= 1e-300
-    (w_j entries), and H is rescaled by an exact power of two after each
-    step, the exponent carried into its log, so log U_k stays finite far
-    below double range.  Given m = j points, the staircase probability
-    is j! U_j / b_j^j, so U_j = H_j(j) e^(n b_j) / n^j.  Cost is about
+    (w_j entries).  Given m = j points, the staircase probability is
+    j! U_j / b_j^j, so U_j = H_j(j) e^(n b_j) / n^j.  Cost is about
     sum_j (cap - j) w_j multiply-adds and O(cap) memory.
+
+    H is held at scale 2^_TOP: after each step it is rescaled by an
+    exact power of two so that its largest entry lies in
+    [2^(_TOP-1), 2^_TOP), the exponent carried into its log, so log U_k
+    stays finite far below double range.  Each new entry is a sum of
+    h * pois <= max(h) * sum(pois), at most 2^_TOP up to rounding, so
+    nothing overflows while _TOP <= 1020.  Power-of-two scaling commutes
+    with rounding in the normal range, so every product and sum that
+    would be normal at unit scale is the same number times 2^_TOP, and
+    the logs, formed once at unit scale, are unchanged.  Only the kernel
+    tail times small entries of H, which at unit scale falls below
+    2^-1022 into slow subnormal arithmetic or to 0, changes: it now runs
+    at full precision, and each such term is below 2^-1021 times H's
+    largest entry, far under the 1e-300 kernel cut.
     """
     cap = b.size - 2
     lam = n * np.maximum(np.diff(b), 0.0)
     m = np.arange(cap + 1)
     log_fact = _log_factorials(cap)
     h = np.zeros(cap + 1)
-    h[0] = 1.0
-    diag = np.ones(cap + 1)
-    shift = np.zeros(cap + 1)  # H_j(j) = diag[j] * 2^shift[j]
+    h[0] = 2.0**_TOP
+    diag = np.full(cap + 1, 2.0**_TOP)
+    shift = np.full(cap + 1, -float(_TOP))  # H_j(j) = diag[j] * 2^shift[j]
     for j in range(1, cap + 1):
         # only m >= j - 1 met threshold j - 1; entries below are dead
         width = min(cap + 2 - j, _window_end(lam[j - 1]))
         pois = _poisson_pmf(float(lam[j - 1]), log_fact[:width])
         last = width - int(np.argmax(pois[::-1] >= _TINY))
         tail = np.convolve(h[j - 1:], pois[:last])[: cap + 2 - j]
-        exp2 = math.frexp(float(tail.max()))[1]
+        exp2 = math.frexp(float(tail.max()))[1] - _TOP
         h[j - 1:] = np.ldexp(tail, -exp2)
         diag[j], shift[j] = h[j], shift[j - 1] + exp2
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_h = np.log(diag) + shift * math.log(2.0)
+        log_h = np.log(np.ldexp(diag, -_TOP)) + (shift + _TOP) * math.log(2.0)
         survive = (n - m) * np.log1p(-b[1:])
     survive[m == n] = 0.0  # no survival factor at k = n, even when b = 1
     log_u = log_h + n * b[:-1] - m * math.log(n)

@@ -137,6 +137,9 @@ _BLOCK = 1 << 16          # node-by-count entries evaluated at a time
 _V_RANGE = (-20.7, 27.3)
 # e^-800 underflows to zero in double precision, even times n
 _LOG_TINY = -800.0
+# below this e^x is subnormal and slow to form and to sum; such terms are
+# dropped, each moving an entry by less than 2^-1022, far below _AGREE_FLOOR
+_LOG_SUBNORMAL = math.log(2.0**-1022)
 
 
 def _log_kanter_a(gamma: float, w: np.ndarray) -> np.ndarray:
@@ -231,7 +234,8 @@ def _frailty_pmf(n: int, log_l: float, gamma: float, cap: int,
 
     Nodes are taken a block at a time.  A node whose q is below e^-800
     has all its mass at k = 0 and adds its weight there; a node whose
-    binomial is below e^-800 on all of 0..cap adds nothing.
+    binomial is below e^-800 on all of 0..cap adds nothing, and a term
+    that would be subnormal adds nothing either.
     """
     log_a, w_w, log_e, w_e = _frailty_rule(gamma, n_w, n_e)
     a = 1.0 / gamma
@@ -262,6 +266,7 @@ def _frailty_pmf(n: int, log_l: float, gamma: float, cap: int,
         b += t
         b += log_c
         b += np.log(w[live])[:, None]
+        b[b < _LOG_SUBNORMAL] = -np.inf
         out += np.exp(b, out=b).sum(axis=0)
     return out
 

@@ -10,6 +10,7 @@ alternating staircase recursion run in extended precision until two
 passes agree, with the factorial identity behind it checked separately.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import example, given, strategies as st
 from mpmath import binomial as mp_binomial, loggamma, mp, mpf, workprec
 from scipy import optimize, stats
 
-from conftest import THETA_BC3, THETA_HUANG, THETA_TCGA, thetas
+from conftest import SIG_BC3, THETA_BC3, THETA_HUANG, THETA_TCGA, thetas
 from fdrdist import (
     CountDistribution,
     InputError,
@@ -467,6 +468,119 @@ def test_step_down_cap_is_a_bound(theta, n, alpha, log10_tol):
     assert full[cap + 1:].sum() <= tail_tol + n * 2.0**-53
     cut = count_dist._truncated(setup, full, tail_tol).k_max
     assert bh_pmf(setup, tail_tol).k_max == cut
+
+
+# --------------------- H at scale 2^_TOP against the unit-scale pass
+
+def _unit_scale_logs(n, b):
+    """``_step_down_logs`` with H rescaled so that its largest entry lies
+    in [1/2, 1): the same pass at unit scale, where the kernel tails
+    times small entries of H run in subnormal arithmetic."""
+    cap = b.size - 2
+    lam = n * np.maximum(np.diff(b), 0.0)
+    m = np.arange(cap + 1)
+    log_fact = count_dist._log_factorials(cap)
+    h, diag, shift = np.zeros(cap + 1), np.ones(cap + 1), np.zeros(cap + 1)
+    h[0] = 1.0
+    for j in range(1, cap + 1):
+        width = min(cap + 2 - j, count_dist._window_end(lam[j - 1]))
+        pois = count_dist._poisson_pmf(float(lam[j - 1]), log_fact[:width])
+        last = width - int(np.argmax(pois[::-1] >= count_dist._TINY))
+        tail = np.convolve(h[j - 1:], pois[:last])[: cap + 2 - j]
+        exp2 = math.frexp(float(tail.max()))[1]
+        h[j - 1:] = np.ldexp(tail, -exp2)
+        diag[j], shift[j] = h[j], shift[j - 1] + exp2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_h = np.log(diag) + shift * math.log(2.0)
+        survive = (n - m) * np.log1p(-b[1:])
+    survive[m == n] = 0.0
+    log_u = log_h + n * b[:-1] - m * math.log(n)
+    log_falling = np.concatenate(([0.0], np.cumsum(np.log1p(-m[:-1] / n))))
+    return log_u, log_falling + log_h + n * b[:-1] + survive
+
+
+def _case_study_setups():
+    """The breast-cancer and TCGA setups and both latent branches of the
+    breast-cancer study at z = 0.25, 0.5 and 0.75."""
+    out = [TestingSetup(3226, 0.05, THETA_BC3), TestingSetup(20068, 0.05, THETA_TCGA)]
+    for z in (0.25, 0.5, 0.75):
+        eps = tuple(z * s for s in SIG_BC3)
+        out += [TestingSetup(3226, 0.05, th) for th in perturbed_pair(THETA_BC3, eps)]
+    return out
+
+
+@pytest.mark.parametrize("setup", _case_study_setups() + _pilot_cell_setups())
+def test_step_down_scale_is_bit_identical_on_bench_setups(setup):
+    b = count_dist._capped_thresholds(setup, 1e-9)
+    for got, want in zip(count_dist._step_down_logs(setup.n, b),
+                         _unit_scale_logs(setup.n, b)):
+        assert got.tobytes() == want.tobytes()
+
+
+@given(
+    thetas(0, 5),
+    st.integers(min_value=1, max_value=400),
+    st.floats(min_value=0.005, max_value=0.9),
+)
+def test_step_down_scale_agrees_with_unit_scale(theta, n, alpha):
+    # entries that differ moved only through subnormal work at unit scale,
+    # so the scaled pass must be no farther from the extended-precision
+    # oracle there
+    setup = TestingSetup(n, alpha, theta)
+    b = count_dist._capped_thresholds(setup, 1e-9)
+    got = np.exp(count_dist._step_down_logs(n, b)[1])
+    want = np.exp(_unit_scale_logs(n, b)[1])
+    big = want > 1e-280
+    assert np.all(np.abs(got[big] - want[big]) <= 1e-13 * want[big])
+    differ = np.flatnonzero(got != want)
+    if differ.size:
+        oracle = _oracle_pmf(setup, 0.0)
+        for k in differ[differ < oracle.size]:
+            assert abs(got[k] - oracle[k]) <= abs(want[k] - oracle[k])
+
+
+def test_step_down_scale_leaves_subnormal_arithmetic(monkeypatch):
+    # both branches of the strongest pilot cell, N = 600, z = 0.8: 4,835
+    # subnormal convolution outputs at unit scale, 684 at 2^_TOP.  Those
+    # left are entries below 2^-2022 of H's largest, on the front edge of
+    # H's support and in the convolution tail past the cap, which the pass
+    # drops, so no scale of H removes them
+    counts = []
+    real, tiny = np.convolve, np.finfo(float).tiny
+
+    def counted(a, v, *args):
+        out = real(a, v, *args)
+        counts[-1] += int(np.count_nonzero((out != 0.0) & (np.abs(out) < tiny)))
+        return out
+
+    monkeypatch.setattr(count_dist.np, "convolve", counted)
+    for logs in (_unit_scale_logs, count_dist._step_down_logs):
+        counts.append(0)
+        for setup in _pilot_cell_setups()[-2:]:
+            logs(setup.n, count_dist._capped_thresholds(setup, 1e-9))
+    unit, scaled = counts
+    assert unit > 0
+    assert scaled <= unit / 5
+
+
+@pytest.mark.parametrize("n, alpha, theta", [
+    *[(n, 1.0, theta) for n in (1, 2, 50, 2000)
+      for theta in (ThetaParams.uniform(), THETA_BC3)],
+    (2000, 0.5, ThetaParams(2, (0.2, 0.4))),
+    (2000, 0.5, ThetaParams.uniform()),
+])
+def test_step_down_scale_has_headroom(n, alpha, theta):
+    # alpha = 1 (past TestingSetup's range) runs the pass to k = n: the
+    # thresholds reach Psi(1) = 1 and every count up to n is kept
+    if alpha == 1.0:
+        b = cdf(np.minimum(np.arange(n + 2) * alpha / n, 1.0), theta)
+    else:
+        b = count_dist._capped_thresholds(TestingSetup(n, alpha, theta), 1e-9)
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        got = count_dist._step_down_logs(n, b)
+    for new, ref in zip(got, _unit_scale_logs(n, b)):
+        assert np.all(np.isfinite(new[np.isfinite(ref)]))
 
 
 def test_bh_pmf_runs_one_pass(monkeypatch):
