@@ -144,10 +144,11 @@ def read_pvalues(path: str, column: str | None = None,
     """Parse a p-value file.
 
     Plain format: one value per line.  Delimited format (when --column
-    is given): the named or 0-based-indexed column of each row; a
-    leading header row is detected automatically.  Missing entries are
-    skipped and counted; anything else non-numeric is an error naming
-    the line.  Returns (values array, source line numbers, skipped count).
+    is given): the named or 0-based-indexed column of each row; the
+    first data row may be a header, detected automatically.  Missing
+    entries are skipped and counted; anything else non-numeric is an
+    error naming the line.  Returns (values array, source line numbers,
+    skipped count).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -156,17 +157,20 @@ def read_pvalues(path: str, column: str | None = None,
         raise InputError(f"cannot read {path}: {exc}")
     sep = delimiter or ","
     col_index = None
-    saw_header = False
     if column is not None:
         try:
             col_index = int(column)
         except ValueError:
             col_index = None
+        if col_index is not None and col_index < 0:
+            raise InputError(f"column index must be >= 0, got {column}")
     values, lines, skipped = [], [], 0
+    seen = False
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        first, seen = not seen, True  # only the first data line may be a header
         if column is None:
             token = line
         else:
@@ -179,7 +183,6 @@ def read_pvalues(path: str, column: str | None = None,
                         f"named {column!r} (columns: {cells})"
                     )
                 col_index = cells.index(column)
-                saw_header = True
                 continue
             if col_index >= len(cells):
                 raise InputError(
@@ -187,8 +190,7 @@ def read_pvalues(path: str, column: str | None = None,
                     f"column {col_index} requested"
                 )
             token = cells[col_index]
-            if not saw_header and _is_header_token(token):
-                saw_header = True
+            if first and _is_header_token(token):
                 continue
         if token.lower() in _MISSING_TOKENS:
             skipped += 1

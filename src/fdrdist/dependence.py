@@ -42,7 +42,7 @@ from .count_dist import (
     _truncated,
     bh_pmf,
 )
-from .psi_dist import ThetaParams, _is_whole, cdf, moment, require_valid
+from .psi_dist import _BLOCK, ThetaParams, _is_whole, cdf, moment, require_valid
 
 __all__ = [
     "Independent",
@@ -132,7 +132,6 @@ _GRID0 = (32, 128)
 _AGREE_RTOL = 1e-10       # relative agreement of two grids, per entry
 _AGREE_FLOOR = 1e-280     # entries below this are not compared
 _MAX_WORK = 1 << 30       # nodes times counts of the largest grid allowed
-_BLOCK = 1 << 16          # node-by-count entries evaluated at a time
 # v range of the E axis, sqrt(E) = log(1 + e^v): E from 1e-18 to 745
 _V_RANGE = (-20.7, 27.3)
 # e^-800 underflows to zero in double precision, even times n

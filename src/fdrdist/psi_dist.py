@@ -51,6 +51,9 @@ __all__ = [
 _MAX_SIZE = 2**53
 # 171! overflows a double, so no higher order has a weight u_I = I! theta_I
 _MAX_ORDER = 170
+# values per block of the vectorized work (the inverse CDF, the copula's
+# node-by-count sums, the sampler's chunks): the working set stays in cache
+_BLOCK = 1 << 16
 
 
 def _is_whole(value, lo: int = 1, hi: int = _MAX_SIZE) -> bool:
@@ -304,7 +307,6 @@ def cdf(p, theta: ThetaParams):
 
 
 _QUANTILE_X_MAX = 745.0  # -log of the smallest positive double
-_QUANTILE_SLICE = 1 << 16  # values per block: the working set stays in cache
 _QUANTILE_NEWTON = 12      # Newton steps before an entry falls back to halving
 _QUANTILE_HALVINGS = 53    # 745 / 2^53 < 1e-13
 
@@ -355,8 +357,8 @@ def _quantile_array(u: np.ndarray, theta: ThetaParams) -> np.ndarray:
     poly = _theta_poly(theta)
     flat = u.reshape(-1)
     out = np.empty(flat.shape)
-    for lo in range(0, flat.size, _QUANTILE_SLICE):
-        hi = lo + _QUANTILE_SLICE
+    for lo in range(0, flat.size, _BLOCK):
+        hi = lo + _BLOCK
         out[lo:hi] = _solve_x(flat[lo:hi], beta, poly)
     return np.exp(np.negative(out, out=out), out=out).reshape(u.shape)
 

@@ -9,7 +9,10 @@ Reproducibility contract: a run with seed s reads the one counter-based
 stream ``Philox(key=s)`` as doubles, m words per replicate (m is fixed by
 the model, see :func:`sample_pvalues`): row r is words [r*m, (r+1)*m).
 A chunk of rows starts its own Philox at the counter of its first word,
-so results are bit-identical regardless of chunking.
+so results are bit-identical regardless of chunking.  A chunk is one
+block: as many whole rows as fit in 65,536 values (one row if a row is
+wider), and it is drawn, screened, counted and transformed whole, so
+memory does not grow with the number of replicates.
 
 Counting runs on the Psi scale.  Psi is increasing, so p <= t exactly
 when u <= Psi(t), u the value the inverse CDF maps to p (the uniform, or
@@ -68,7 +71,7 @@ import numpy as np
 
 from .errors import InputError
 from .psi_dist import (
-    _QUANTILE_SLICE,
+    _BLOCK,
     ThetaParams,
     _is_whole,
     _quantile_array,
@@ -124,8 +127,8 @@ class SimConfig:
             perturbed_pair(self.marginal, dep.eps)  # raises if either side is invalid
 
 
-def _chunk_rows(n_tests: int, replicates: int) -> int:
-    return max(1, min(replicates, 4_000_000 // n_tests))
+def _chunk_rows(m: int, replicates: int) -> int:
+    return max(1, min(replicates, _BLOCK // m))
 
 
 def positive_stable(gamma: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -184,21 +187,6 @@ _BAND = 1e-8
 _NORMAL_MIN = 2.0 ** -1022
 
 
-def _transform_rows(x: np.ndarray, theta: ThetaParams,
-                   rows: np.ndarray = None) -> None:
-    """Replace, in place, every entry of the 2-D array ``x`` (in the rows
-    the boolean ``rows`` selects, if given) by its inverse CDF under
-    ``theta``.  Blocks of about one quantile slice are transformed in
-    turn, so no temporary grows with ``x``."""
-    if all(c == 0.0 for c in theta.coeffs):
-        return
-    step = max(1, _QUANTILE_SLICE // x.shape[1])
-    for lo in range(0, x.shape[0], step):
-        block = x[lo:lo + step]
-        sel = slice(None) if rows is None else rows[lo:lo + step]
-        block[sel] = _quantile_array(block[sel], theta)
-
-
 def _marginals(config: SimConfig) -> tuple:
     """The marginal laws of a run: (theta - eps, theta + eps) in the latent
     model, in the order of its coin (True draws theta - eps), else (theta,)."""
@@ -239,15 +227,16 @@ def sample_pvalues(config: SimConfig) -> np.ndarray:
             _copula_psi(x, aux, dep.gamma, out=block)
         else:
             block[...] = x
-        del x
         for theta, rows in zip(marginals, _halves(dep, aux)):
-            _transform_rows(block, theta, rows)
+            if any(theta.coeffs):  # else the transform is the identity
+                sel = slice(None) if rows is None else rows
+                block[sel] = _quantile_array(block[sel], theta)
     return out
 
 
 def _iter_pvalue_chunks(config: SimConfig):
-    """Yield (lo, hi, aux, x) for blocks of replicates, without holding
-    the whole run in memory.
+    """Yield (lo, hi, aux, x) for the chunks of replicates, one block of
+    at most 65,536 values each (one row if a row is wider).
 
     For the independent and latent models ``x`` holds rows lo..hi on the
     Psi scale: the uniforms the marginal's inverse CDF maps to the
@@ -265,19 +254,13 @@ def _iter_pvalue_chunks(config: SimConfig):
         bg = np.random.Philox(key=config.seed, counter=lo * m // 4)
         bg.random_raw(lo * m % 4)
         u = np.random.Generator(bg).random((hi - lo, m))
-        aux = None
-        if isinstance(dep, Independent):
-            x = u
-        elif isinstance(dep, Latent):
-            aux = u[:, 0] < 0.5
-            x = u[:, 1:]
-        else:
+        aux, x = None, u
+        if isinstance(dep, Latent):
+            aux, x = u[:, 0] < 0.5, u[:, 1:]
+        elif isinstance(dep, GumbelCopula):
             aux = _log_kanter(dep.gamma, math.pi * u[:, 0], -np.log1p(-u[:, 1]))
             x = u[:, 2:]
-        # the yielded matrix alone holds this chunk while the next is drawn
-        u = None
         yield lo, hi, aux, x
-        del x, aux
 
 
 @dataclass(frozen=True)
@@ -326,8 +309,8 @@ def _bands(theta: ThetaParams, t: np.ndarray) -> tuple:
 
 def _discoveries(x: np.ndarray, aux, dep: DependenceSpec, marginals: tuple,
                  bands: list, t: np.ndarray, bh: bool) -> np.ndarray:
-    """Discoveries in each row of the chunk ``x``, one block of rows at a
-    time; ``x`` is not modified.  A row whose smallest Psi-scale entry
+    """Discoveries in each row of the chunk ``x``, which is one block;
+    ``x`` is not modified.  A row whose smallest Psi-scale entry
     lies above the top of its marginal's first band counts 0 (module
     docstring), so only the other rows are gathered, put on the Psi scale
     (copula), sorted (step-down) and counted against both ends of their
@@ -335,34 +318,30 @@ def _discoveries(x: np.ndarray, aux, dep: DependenceSpec, marginals: tuple,
     exact transform."""
     copula = isinstance(dep, GumbelCopula)
     k = np.zeros(x.shape[0], dtype=np.intp)
-    step = max(1, _QUANTILE_SLICE // x.shape[1])
-    for lo in range(0, x.shape[0], step):
-        block = x[lo:lo + step]
-        part = None if aux is None else aux[lo:lo + step]
+    if copula:
+        # the smallest Psi-scale value of a row is that of its largest U
+        low = _copula_psi(x.max(axis=1)[:, None], aux, dep.gamma)[:, 0]
+    else:
+        low = x.min(axis=1)
+    for theta, rows, (b_lo, b_hi) in zip(marginals, _halves(dep, aux), bands):
+        top = max(b_hi[0], _NORMAL_MIN) * (1.0 + _BAND) if copula else b_hi[0]
+        live = low <= top
+        sel = np.flatnonzero(live if rows is None else live & rows)
+        if not sel.size:
+            continue
+        y = x[sel]
         if copula:
-            # the smallest Psi-scale value of a row is that of its largest U
-            low = _copula_psi(block.max(axis=1)[:, None], part, dep.gamma)[:, 0]
-        else:
-            low = block.min(axis=1)
-        for theta, rows, (b_lo, b_hi) in zip(marginals, _halves(dep, part), bands):
-            top = max(b_hi[0], _NORMAL_MIN) * (1.0 + _BAND) if copula else b_hi[0]
-            live = low <= top
-            sel = np.flatnonzero(live if rows is None else live & rows)
-            if not sel.size:
-                continue
-            y = block[sel]
-            if copula:
-                _copula_psi(y, part[sel], dep.gamma, out=y)
-            if bh:
-                y.sort(axis=1)
-            k_sel = _count(y, b_lo, bh)
-            if b_hi is not b_lo:
-                redo = np.flatnonzero(k_sel != _count(y, b_hi, bh))
-                if redo.size:
-                    p = _quantile_array(y[redo], theta)
-                    p.sort(axis=1)
-                    k_sel[redo] = _count(p, t, bh)
-            k[lo + sel] = k_sel
+            _copula_psi(y, aux[sel], dep.gamma, out=y)
+        if bh:
+            y.sort(axis=1)
+        k_sel = _count(y, b_lo, bh)
+        if b_hi is not b_lo:
+            redo = np.flatnonzero(k_sel != _count(y, b_hi, bh))
+            if redo.size:
+                p = _quantile_array(y[redo], theta)
+                p.sort(axis=1)
+                k_sel[redo] = _count(p, t, bh)
+        k[sel] = k_sel
     return k
 
 
@@ -389,8 +368,6 @@ def empirical_count_distribution(config: SimConfig,
     bands = [_bands(theta, t) for theta in marginals]
     for _, _, aux, chunk in _iter_pvalue_chunks(config):
         k = _discoveries(chunk, aux, config.dependence, marginals, bands, t, bh)
-        # drop the chunk before the next one is drawn
-        del chunk, aux
         counts += np.bincount(k, minlength=n + 1)
     k_max = int(np.nonzero(counts)[0][-1])
     pmf = counts[: k_max + 1] / config.replicates

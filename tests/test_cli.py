@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 from conftest import THETA_BC3, THETA_HUANG
 from fdrdist import (
+    InputError,
     NumericError,
     SimConfig,
     TestingSetup,
@@ -73,6 +74,36 @@ def test_read_delimited_by_index_detects_header(tmp_path):
     for path in (headered, bare):
         values, _, _ = read_pvalues(str(path), column="1")
         np.testing.assert_array_equal(values, [0.5, 0.25])
+
+
+def test_read_by_index_takes_only_the_first_line_as_header(tmp_path):
+    # a later non-numeric cell is an error, as in a plain file, not a header
+    f = tmp_path / "late.csv"
+    f.write_text("x,0.1\ny,0.2\nz,abc\nw,0.3\n")
+    with pytest.raises(InputError, match=r"line 3: 'abc' is not a number"):
+        read_pvalues(str(f), column="1")
+    plain = tmp_path / "late.txt"
+    plain.write_text("0.1\n0.2\nabc\n0.3\n")
+    with pytest.raises(InputError, match=r"line 3: 'abc' is not a number"):
+        read_pvalues(str(plain))
+    # comments and blank lines before the header do not make it a later line
+    g = tmp_path / "head.csv"
+    g.write_text("# note\n\ngene,p\ng1,0.5\ng2,q\n")
+    with pytest.raises(InputError, match=r"line 5: 'q' is not a number"):
+        read_pvalues(str(g), column="1")
+    h = tmp_path / "ok.csv"
+    h.write_text("# note\n\ngene,p\ng1,0.5\ng2,0.25\n")
+    values, lines, _ = read_pvalues(str(h), column="1")
+    np.testing.assert_array_equal(values, [0.5, 0.25])
+    assert lines == [4, 5]
+
+
+def test_read_rejects_a_negative_column_index(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("g1,0.5\ng2,0.25\n")
+    for column in ("-1", "-2"):
+        with pytest.raises(InputError, match="column"):
+            read_pvalues(str(f), column=column)
 
 
 def test_read_errors_name_file_and_line(tmp_path):

@@ -10,6 +10,7 @@ single call.
 """
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -392,6 +393,43 @@ def test_empirical_matches_brute_force_counts():
                     np.testing.assert_array_equal(
                         empirical_count_distribution(cfg, rule).pmf,
                         _brute_force_pmf(cfg, rule), err_msg=f"{cfg} {rule}")
+
+
+@pytest.mark.parametrize("rule", ["bh", "bonferroni"])
+@pytest.mark.parametrize("dep", MODELS)
+def test_counts_do_not_depend_on_chunking(dep, rule, monkeypatch):
+    cfg = _config(n_tests=150, replicates=500, marginal=THETA_BC3, dependence=dep,
+                  alpha=0.2, seed=43)
+    whole = empirical_count_distribution(cfg, rule).pmf
+    assert np.count_nonzero(whole) > 2
+    for rows in (1, 3):
+        monkeypatch.setattr(simulate, "_chunk_rows", lambda m, reps, rows=rows: rows)
+        np.testing.assert_array_equal(empirical_count_distribution(cfg, rule).pmf, whole)
+
+
+@pytest.mark.parametrize("dep", MODELS)
+def test_rows_wider_than_a_block_count_as_brute_force(dep):
+    # 70,000 values exceed one block, so each chunk is a single row
+    cfg = _config(n_tests=70_000, replicates=3, marginal=THETA_BC3, dependence=dep)
+    assert simulate._chunk_rows(70_000, 3) == 1
+    for rule in ("bh", "bonferroni"):
+        np.testing.assert_array_equal(empirical_count_distribution(cfg, rule).pmf,
+                                      _brute_force_pmf(cfg, rule), err_msg=rule)
+
+
+@pytest.mark.parametrize("dep", MODELS)
+def test_counting_memory_does_not_grow_with_replicates(dep):
+    # one chunk is one block of 65,536 values (512 KB); a chunk of the
+    # whole run would be 20,000 x 200 doubles, 32 MB
+    cfg = _config(n_tests=200, replicates=20_000, marginal=THETA_BC3, dependence=dep,
+                  seed=1901)
+    tracemalloc.start()
+    try:
+        empirical_count_distribution(cfg, "bh")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def _near_threshold_rows(theta, alpha, n, rule):
