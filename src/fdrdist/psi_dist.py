@@ -58,7 +58,9 @@ _BLOCK = 1 << 16
 
 def _is_whole(value, lo: int = 1, hi: int = _MAX_SIZE) -> bool:
     """True for an integer or a whole-valued float in [lo, hi] (by default
-    a size: 1 to 2^53); NaN and inf are not."""
+    a size: 1 to 2^53); NaN, inf and anything not a real number are not."""
+    if not isinstance(value, numbers.Real):
+        return False
     whole = isinstance(value, numbers.Integral) or float(value).is_integer()
     return whole and lo <= value <= hi
 

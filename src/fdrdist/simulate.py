@@ -5,14 +5,13 @@ are drawn under the independent, latent-mixture, or Gumbel-copula models,
 the counting rules are applied per replicate, and normalized histograms
 with binomial standard errors come back as empirical distributions.
 
-Reproducibility contract: a run with seed s reads the one counter-based
-stream ``Philox(key=s)`` as doubles, m words per replicate (m is fixed by
-the model, see :func:`sample_pvalues`): row r is words [r*m, (r+1)*m).
-A chunk of rows starts its own Philox at the counter of its first word,
-so results are bit-identical regardless of chunking.  A chunk is one
-block: as many whole rows as fit in 65,536 values (one row if a row is
-wider), and it is drawn, screened, counted and transformed whole, so
-memory does not grow with the number of replicates.
+Reproducibility contract: a run with seed s reads the one stream
+``PCG64DXSM(s)`` in order, one 64-bit word per double and m words per
+replicate (m is fixed by the model, see :func:`sample_pvalues`): row r
+is words [r*m, (r+1)*m) whatever the chunking, and ``advance(r*m)``
+rebuilds it alone.  A chunk is one block: as many whole rows as fit in
+65,536 values (one row if a row is wider), drawn, screened, counted and
+transformed whole, so memory does not grow with the number of replicates.
 
 Counting runs on the Psi scale.  Psi is increasing, so p <= t exactly
 when u <= Psi(t), u the value the inverse CDF maps to p (the uniform, or
@@ -206,8 +205,8 @@ def _halves(dep: DependenceSpec, aux) -> tuple:
 def sample_pvalues(config: SimConfig) -> np.ndarray:
     """Matrix of p-values, shape (replicates, n_tests).
 
-    Row r is built from the m uniforms U_0..U_{m-1} at words
-    [r*m, (r+1)*m) of ``Philox(key=seed)``:
+    Row r is built from the m uniforms U_0..U_{m-1} at words [r*m,
+    (r+1)*m) of ``PCG64DXSM(seed)``, read in order or after ``advance(r*m)``:
 
     * Independent (m = n_tests): the marginal quantile transform of U.
     * Latent (m = n_tests + 1): U_0 < 0.5 selects theta - eps, else
@@ -249,11 +248,10 @@ def _iter_pvalue_chunks(config: SimConfig):
     n, reps, dep = config.n_tests, config.replicates, config.dependence
     m = n + {Independent: 0, Latent: 1, GumbelCopula: 2}[type(dep)]
     rows = _chunk_rows(m, reps)
+    rng = np.random.Generator(np.random.PCG64DXSM(config.seed))
     for lo in range(0, reps, rows):
         hi = min(lo + rows, reps)
-        bg = np.random.Philox(key=config.seed, counter=lo * m // 4)
-        bg.random_raw(lo * m % 4)
-        u = np.random.Generator(bg).random((hi - lo, m))
+        u = rng.random((hi - lo, m))
         aux, x = None, u
         if isinstance(dep, Latent):
             aux, x = u[:, 0] < 0.5, u[:, 1:]

@@ -21,6 +21,7 @@ from fdrdist import (
     ConstraintError,
     InputError,
     NumericError,
+    SimConfig,
     TestingSetup,
     ThetaParams,
     beta_to_theta,
@@ -96,6 +97,34 @@ def test_orders_must_be_whole_and_at_most_170(call, order):
     # 171! overflows a double, so order 171 has no weight u_171
     with pytest.raises(InputError, match="order must be an integer"):
         call(order)
+
+
+_T = ThetaParams.uniform()
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: SimConfig(v, 10, _T, 0.05, 1),
+    lambda v: SimConfig(5, v, _T, 0.05, 1),
+    lambda v: SimConfig(5, 10, _T, 0.05, v),
+    lambda v: TestingSetup(v, 0.05),
+    lambda v: ThetaParams(v, (0.0,) * 3),
+    lambda v: moment(v, THETA_BC3),
+    lambda v: random_theta(v, np.random.default_rng(0)),
+], ids=["SimConfig.n_tests", "SimConfig.replicates", "SimConfig.seed", "TestingSetup",
+        "ThetaParams", "moment", "random_theta"])
+@pytest.mark.parametrize("value", ["5", None, b"5", [5], 1j],
+                         ids=["str", "None", "bytes", "list", "complex"])
+def test_non_numbers_are_input_errors(call, value):
+    with pytest.raises(InputError, match="integer"):
+        call(value)
+
+
+def test_numpy_integers_and_whole_floats_are_sizes():
+    cfg = SimConfig(np.int64(5), np.float64(10.0), _T, 0.05, np.uint64(2**64 - 1))
+    assert (cfg.n_tests, cfg.replicates, cfg.seed) == (5, 10, 2**64 - 1)
+    assert TestingSetup(np.int32(5), 0.05) == TestingSetup(5, 0.05)
+    assert ThetaParams(np.int8(3), (0.0,) * 3) == ThetaParams(3, (0.0,) * 3)
+    assert moment(np.uint16(2), THETA_BC3) == moment(2.0, THETA_BC3) == moment(2, THETA_BC3)
 
 
 def test_whole_float_order_is_an_int():

@@ -5,8 +5,8 @@ Oracles: the analytic moments and CDFs of the p-value family, the
 Laplace transform of the positive-stable frailty, scipy's KS test, the
 exact count pmfs from the analytic modules, a gamma-mixture sampler that
 never inverts the CDF, and the documented layout: row r rebuilt from
-words [r*m, (r+1)*m) of one ``Philox(key=seed)`` stream drawn in a
-single call.
+words [r*m, (r+1)*m) of one ``PCG64DXSM(seed)`` stream, drawn in a
+single call or, for one row alone, after ``advance(r*m)``.
 """
 import dataclasses
 import math
@@ -54,12 +54,12 @@ def _substream(seed, r):
 
 def _stream(seed, reps, m):
     """The run's uniforms in one call: row r is words [r*m, (r+1)*m)."""
-    return np.random.Generator(np.random.Philox(key=seed)).random((reps, m))
+    return np.random.Generator(np.random.PCG64DXSM(seed)).random((reps, m))
 
 
 def _three_row_chunks(monkeypatch):
-    # with n_tests = 101, chunks of 3 rows start at words 3m, 6m and 9m:
-    # all but 6 * 102 (latent) fall inside a Philox block of 4 words
+    # with n_tests = 101, chunks of 3 rows start at words 3m, 6m and 9m,
+    # so each later chunk starts mid-stream, not at the seed's first word
     monkeypatch.setattr(simulate, "_chunk_rows", lambda m, reps: 3)
 
 
@@ -131,7 +131,7 @@ def test_bit_identical_regardless_of_chunking(dep, monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
 def test_uniform_rows_are_the_documented_substreams(seed, monkeypatch):
-    # chunks start at words 303, 606 and 909: offsets 3, 2 and 1 in a block
+    # chunks start at words 303, 606 and 909 of the one stream
     _three_row_chunks(monkeypatch)
     got = sample_pvalues(_config(n_tests=101, seed=seed, replicates=10))
     np.testing.assert_array_equal(got, _stream(seed, 10, 101))
@@ -192,6 +192,40 @@ def test_latent_rows_are_the_documented_words(monkeypatch):
     for r in range(10):
         theta = minus if u[r, 0] < 0.5 else plus
         np.testing.assert_array_equal(got[r], _quantile_array(u[r, 1:], theta))
+
+
+def _words_per_row(cfg):
+    return cfg.n_tests + {Independent: 0, Latent: 1, GumbelCopula: 2}[type(cfg.dependence)]
+
+
+def _row_alone(cfg, r):
+    """Row r of ``sample_pvalues(cfg)`` from its own m words, read after
+    ``advance(r*m)``, through the documented transform."""
+    dep, theta, m = cfg.dependence, cfg.marginal, _words_per_row(cfg)
+    u = np.random.Generator(np.random.PCG64DXSM(cfg.seed).advance(r * m)).random(m)
+    if isinstance(dep, Latent):
+        minus, plus = perturbed_pair(theta, dep.eps)
+        return _quantile_array(u[1:], minus if u[0] < 0.5 else plus)
+    if isinstance(dep, GumbelCopula):
+        log_s = simulate._log_kanter(dep.gamma, math.pi * u[:1], -np.log1p(-u[1:2]))[0]
+        u = np.exp(-np.exp((np.log(-np.log1p(-u[2:])) - log_s) / dep.gamma))
+    return _quantile_array(u, theta)
+
+
+@pytest.mark.parametrize("three_rows", [False, True], ids=["default", "three-row"])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("dep", MODELS)
+def test_any_row_reproduces_alone(dep, seed, three_rows, monkeypatch):
+    # row 0, the first row of the second chunk, and the last row
+    if three_rows:
+        _three_row_chunks(monkeypatch)
+    cfg = _config(n_tests=101, replicates=1400, seed=seed, marginal=THETA_BC3,
+                  dependence=dep)
+    rows = simulate._chunk_rows(_words_per_row(cfg), cfg.replicates)
+    assert 2 * rows < cfg.replicates - 1
+    got = sample_pvalues(cfg)
+    for r in (0, rows, cfg.replicates - 1):
+        np.testing.assert_array_equal(got[r], _row_alone(cfg, r), err_msg=f"row {r}")
 
 
 def test_seed_changes_output():
