@@ -139,78 +139,99 @@ def _is_header_token(token: str) -> bool:
         return True
 
 
+def _raise_first_fault(path: str, tokens, lines) -> None:
+    """Raise the error of the first token, in file order, that is neither
+    missing nor a number in [0, 1] (NaN counts as missing)."""
+    for token, lineno in zip(tokens, lines):
+        if token.lower() in _MISSING_TOKENS:
+            continue
+        try:
+            val = float(token)
+        except ValueError:
+            raise InputError(f"{path} line {lineno}: {token!r} is not a number")
+        if not (val != val or 0.0 <= val <= 1.0):
+            raise InputError(
+                f"{path} line {lineno}: p-value {val!r} outside [0, 1]"
+            )
+
+
 def read_pvalues(path: str, column: str | None = None,
                  delimiter: str | None = None):
     """Parse a p-value file.
 
     Plain format: one value per line.  Delimited format (when --column
     is given): the named or 0-based-indexed column of each row; the
-    first data row may be a header, detected automatically.  Missing
-    entries are skipped and counted; anything else non-numeric is an
-    error naming the line.  Returns (values array, source line numbers,
-    skipped count).
+    first data row may be a header, detected automatically.  Blank and
+    # lines are ignored and a UTF-8 byte-order mark is accepted.
+    Missing entries (a ``_MISSING_TOKENS`` spelling in any case, or NaN)
+    are skipped and counted; anything else non-numeric or outside [0, 1]
+    is an error naming its line.  Returns (values array, source line
+    numbers, skipped count).
+
+    One numpy call converts every token as ``float`` would.  Only if it
+    fails are the missing spellings read as NaN and the tokens converted
+    again; only if that fails too, or a value lies outside [0, 1], are
+    the tokens walked in file order for the first line at fault.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    sep = delimiter or ","
-    col_index = None
-    if column is not None:
-        try:
-            col_index = int(column)
-        except ValueError:
-            col_index = None
-        if col_index is not None and col_index < 0:
-            raise InputError(f"column index must be >= 0, got {column}")
-    values, lines, skipped = [], [], 0
-    seen = False
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        first, seen = not seen, True  # only the first data line may be a header
-        if column is None:
-            token = line
-        else:
-            cells = [c.strip() for c in line.split(sep)]
-            if col_index is None:
-                # first data line doubles as the header in name mode
-                if column not in cells:
-                    raise InputError(
-                        f"{path}: header line {lineno} has no column "
-                        f"named {column!r} (columns: {cells})"
-                    )
-                col_index = cells.index(column)
-                continue
-            if col_index >= len(cells):
+    try:
+        col_index = None if column is None else int(column)
+    except ValueError:
+        col_index = None
+    if col_index is not None and col_index < 0:
+        raise InputError(f"column index must be >= 0, got {column}")
+    stripped = [raw.strip() for raw in text.splitlines()]
+    lines = [n for n, line in enumerate(stripped, 1) if line and line[0] != "#"]
+    tokens = [stripped[n - 1] for n in lines]
+    short = None  # a column-count error, raised after any earlier fault
+    if column is not None and tokens:
+        rows = [line.split(delimiter or ",") for line in tokens]
+        first = [c.strip() for c in rows[0]]
+        if col_index is None:
+            # the first data line is the header in name mode
+            if column not in first:
                 raise InputError(
-                    f"{path} line {lineno}: only {len(cells)} columns, "
-                    f"column {col_index} requested"
+                    f"{path}: header line {lines[0]} has no column "
+                    f"named {column!r} (columns: {first})"
                 )
-            token = cells[col_index]
-            if first and _is_header_token(token):
-                continue
-        if token.lower() in _MISSING_TOKENS:
-            skipped += 1
-            continue
+            col_index = first.index(column)
+            start = 1
+        else:
+            # only the first data line may be a header in index mode
+            start = int(col_index < len(first)
+                        and _is_header_token(first[col_index]))
+        end = next((i for i in range(start, len(rows))
+                    if len(rows[i]) <= col_index), len(rows))
+        if end < len(rows):
+            short = (f"{path} line {lines[end]}: only {len(rows[end])} "
+                     f"columns, column {col_index} requested")
+        lines = lines[start:end]
+        tokens = [row[col_index].strip() for row in rows[start:end]]
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError:
+        # a missing spelling reads as NaN, which counts as missing too
         try:
-            val = float(token)
+            values = np.array(["nan" if t.lower() in _MISSING_TOKENS else t
+                               for t in tokens], dtype=float)
         except ValueError:
-            raise InputError(f"{path} line {lineno}: {token!r} is not a number")
-        if val != val:  # NaN parses as a float; treat as missing
-            skipped += 1
-            continue
-        if not 0.0 <= val <= 1.0:
-            raise InputError(
-                f"{path} line {lineno}: p-value {val!r} outside [0, 1]"
-            )
-        values.append(val)
-        lines.append(lineno)
-    if not values:
+            _raise_first_fault(path, tokens, lines)
+            raise  # numpy rejected a token that float accepts
+    nan = np.isnan(values)
+    if not ((values >= 0.0) & (values <= 1.0) | nan).all():
+        _raise_first_fault(path, tokens, lines)
+    if short is not None:
+        raise InputError(short)
+    if nan.any():
+        values = values[~nan]
+        lines = [n for n, missing in zip(lines, nan) if not missing]
+    if not values.size:
         raise InputError(f"{path}: no usable p-values found")
-    return np.array(values), lines, skipped
+    return values, lines, len(tokens) - values.size
 
 
 def _reject_zeros(values, lines, path):

@@ -25,6 +25,7 @@ closed form live here as well.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,8 @@ __all__ = [
 
 
 def _check_alpha(alpha: float) -> None:
+    if not isinstance(alpha, numbers.Real):
+        raise InputError(f"alpha must be a real number in (0, 1), got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
 

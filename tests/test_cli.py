@@ -11,6 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import THETA_BC3, THETA_HUANG
 from fdrdist import (
@@ -28,7 +29,7 @@ from fdrdist import (
     power_table,
 )
 from fdrdist import cli as cli_module
-from fdrdist.cli import main, read_pvalues
+from fdrdist.cli import _MISSING_TOKENS, _is_header_token, main, read_pvalues
 
 
 @pytest.fixture()
@@ -115,6 +116,162 @@ def test_read_errors_name_file_and_line(tmp_path):
     g.write_text("0.5\n1.5\n")
     with pytest.raises(Exception, match=r"line 2.*outside"):
         read_pvalues(str(g))
+
+
+@pytest.mark.parametrize("name, text, column, lines", [
+    ("bom.txt", "\ufeff0.5\n0.01\n", None, [1, 2]),
+    ("bom.csv", "\ufeffpvalue,gene\n0.5,g1\n0.01,g2\n", "pvalue", [2, 3]),
+], ids=["plain", "delimited"])
+def test_read_accepts_a_utf8_byte_order_mark(runner, tmp_path, name, text, column, lines):
+    # an Excel "CSV UTF-8" export starts with U+FEFF
+    f = tmp_path / name
+    f.write_text(text, encoding="utf-8")
+    args = ["count", str(f), "--alpha", "0.05"] + (["--column", column] if column else [])
+    assert _json(_invoke(runner, args))["result"]["n"] == 2
+    values, got, _ = read_pvalues(str(f), column=column)
+    np.testing.assert_array_equal(values, [0.5, 0.01])
+    assert got == lines
+
+
+def test_read_undecodable_file_is_an_input_error(runner, tmp_path):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"0.5\n\xe9\n")
+    for command in (["count", str(f), "--alpha", "0.05"], ["fit", str(f)]):
+        result = _invoke(runner, command)
+        assert result.exit_code == 2
+        assert f"cannot read {f}: 'utf-8' codec can't decode byte 0xe9" in result.output
+
+
+def _read_pvalues_loop(path, column=None, delimiter=None):
+    """The per-line parser that ``read_pvalues`` replaced, kept as its
+    oracle; it opens the file as UTF-8 with an optional byte-order mark,
+    as ``read_pvalues`` does."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            raw_lines = fh.read().splitlines()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+    sep = delimiter or ","
+    col_index = None
+    if column is not None:
+        try:
+            col_index = int(column)
+        except ValueError:
+            col_index = None
+        if col_index is not None and col_index < 0:
+            raise InputError(f"column index must be >= 0, got {column}")
+    values, lines, skipped = [], [], 0
+    seen = False
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        first, seen = not seen, True  # only the first data line may be a header
+        if column is None:
+            token = line
+        else:
+            cells = [c.strip() for c in line.split(sep)]
+            if col_index is None:
+                # first data line doubles as the header in name mode
+                if column not in cells:
+                    raise InputError(
+                        f"{path}: header line {lineno} has no column "
+                        f"named {column!r} (columns: {cells})"
+                    )
+                col_index = cells.index(column)
+                continue
+            if col_index >= len(cells):
+                raise InputError(
+                    f"{path} line {lineno}: only {len(cells)} columns, "
+                    f"column {col_index} requested"
+                )
+            token = cells[col_index]
+            if first and _is_header_token(token):
+                continue
+        if token.lower() in _MISSING_TOKENS:
+            skipped += 1
+            continue
+        try:
+            val = float(token)
+        except ValueError:
+            raise InputError(f"{path} line {lineno}: {token!r} is not a number")
+        if val != val:  # NaN parses as a float; treat as missing
+            skipped += 1
+            continue
+        if not 0.0 <= val <= 1.0:
+            raise InputError(
+                f"{path} line {lineno}: p-value {val!r} outside [0, 1]"
+            )
+        values.append(val)
+        lines.append(lineno)
+    if not values:
+        raise InputError(f"{path}: no usable p-values found")
+    return np.array(values), lines, skipped
+
+
+def _mixed_case(word):
+    return st.tuples(*(st.sampled_from([c.lower(), c.upper()]) for c in word)).map("".join)
+
+
+_NUMBERS = st.one_of(
+    st.floats(0.0, 1.0).flatmap(lambda v: st.sampled_from(
+        [repr(v), "%.17g" % v, "%.3e" % v, "%.4f" % v, "%.2E" % v])),
+    st.sampled_from(["0", "1", "-0", "+.5", "0.", "1e-400", "5e-324", "1_0e-1",
+                     "0x1p-3", "٣e-1", "1.0000000000000000000000000000001"]),
+)
+_GOOD = st.one_of(
+    _NUMBERS,
+    st.sampled_from(sorted(_MISSING_TOKENS)).flatmap(_mixed_case),
+    st.sampled_from(["nan", "-nan", "NaN", "+NAN", "nan(123)"]),
+)
+_FAULTY = st.sampled_from(["2.0", "-0.5", "1.0000001", "inf", "-Infinity", "1e400", "7",
+                           "abc", "0.5.5", "--1", "1__0", "0.5x", "0.5,0.25", "p", "gene",
+                           "#"])
+_PAD = st.sampled_from(["", " ", "\t", "  \t "])
+# faulty cells are drawn a quarter of the time, so that many files parse
+_CELL = st.tuples(_PAD, st.one_of(_GOOD, _GOOD, _GOOD, _FAULTY), _PAD).map("".join)
+_FORMATS = st.one_of(
+    st.just((None, None)),
+    st.tuples(st.sampled_from(["p", "gene", "q", "0", "1", "2"]),
+              st.sampled_from([None, ",", "\t", ";"])),
+)
+
+
+def _fuzz_file(fmt):
+    """(format, lines) for a reader format (column, delimiter): an
+    optional header, then rows, blanks and comments."""
+    sep = fmt[1] or ","
+    header = st.permutations(["gene", "p", "q"]).map(lambda names: [sep.join(names)])
+    row = st.lists(_CELL, min_size=1, max_size=4 if fmt[0] else 1).map(sep.join)
+    line = st.one_of(row, row, row, _PAD, st.sampled_from(["# comment", "  #0.5", "#"]))
+    lines = st.tuples(st.one_of(st.just([]), header), st.lists(line, min_size=1, max_size=12))
+    return st.tuples(st.just(fmt), lines.map(lambda parts: parts[0] + parts[1]))
+
+
+@settings(max_examples=300)
+@given(case=_FORMATS.flatmap(_fuzz_file), bom=st.booleans(),
+       newline=st.sampled_from(["\n", "\r\n"]))
+# a value out of range on line 3 is reported before a bad cell on line 5
+@example(case=((None, None), ["0.5", "", "2.0", "# note", "abc"]), bom=False, newline="\n")
+@example(case=(("1", None), ["g,0.5", "g,na", "g,-1", "g", "g,abc"]), bom=False,
+         newline="\n")
+@example(case=(("p", "\t"), ["gene\tp", "g1\t0.5", "g2\tNULL", "g3\tnan", "g4\t 0.25 "]),
+         bom=True, newline="\r\n")
+def test_read_pvalues_matches_the_per_line_oracle(tmp_path_factory, case, bom, newline):
+    fmt, lines = case
+    path = tmp_path_factory.mktemp("fuzz") / "p.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(("\ufeff" if bom else "") + "".join(x + newline for x in lines))
+
+    def outcome(reader):
+        try:
+            values, rows, skipped = reader(str(path), *fmt)
+        except InputError as exc:
+            return str(exc)
+        assert values.dtype == np.float64
+        return values.tobytes(), rows, skipped
+
+    assert outcome(read_pvalues) == outcome(_read_pvalues_loop)
 
 
 # ---------------------------------------------------------------- bh-dist

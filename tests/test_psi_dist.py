@@ -25,6 +25,9 @@ from fdrdist import (
     TestingSetup,
     ThetaParams,
     beta_to_theta,
+    bh_count,
+    bh_count_step_up,
+    bonferroni_count,
     cdf,
     chained_upper_bound,
     density,
@@ -117,6 +120,23 @@ _T = ThetaParams.uniform()
 def test_non_numbers_are_input_errors(call, value):
     with pytest.raises(InputError, match="integer"):
         call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: TestingSetup(5, v),
+    lambda v: SimConfig(5, 5, _T, v, 1),
+    lambda v: bh_count([0.01, 0.5], v),
+    lambda v: bh_count_step_up([0.01, 0.5], v),
+    lambda v: bonferroni_count([0.01, 0.5], v),
+], ids=["TestingSetup", "SimConfig", "bh_count", "bh_count_step_up", "bonferroni_count"])
+@pytest.mark.parametrize("value", ["0.05", None, b"0.05", [0.05], 1j],
+                         ids=["str", "None", "bytes", "list", "complex"])
+def test_non_number_alphas_are_input_errors(call, value):
+    with pytest.raises(InputError, match="alpha must be a real number"):
+        call(value)
+    # real values keep their message
+    with pytest.raises(InputError, match=r"alpha must lie in \(0, 1\), got 1.5"):
+        call(1.5)
 
 
 def test_numpy_integers_and_whole_floats_are_sizes():
