@@ -25,7 +25,6 @@ closed form live here as well.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +34,9 @@ from .psi_dist import (
     ThetaParams,
     _beta_poly,
     _horner,
-    _is_whole,
+    _real,
     _theta_poly,
+    _whole,
     cdf,
     checked_pvalues,
     density,
@@ -63,11 +63,11 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: float) -> None:
-    if not isinstance(alpha, numbers.Real):
-        raise InputError(f"alpha must be a real number in (0, 1), got {alpha!r}")
+def _check_alpha(alpha: float) -> float:
+    alpha = _real(alpha, "alpha must be a real number in (0, 1)")
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,9 @@ class TestingSetup:
     marginal: ThetaParams = field(default_factory=ThetaParams.uniform)
 
     def __post_init__(self):
-        if not _is_whole(self.n):
-            raise InputError(f"n must be a positive integer up to 2^53, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        _check_alpha(self.alpha)
+        object.__setattr__(
+            self, "n", _whole(self.n, "n must be a positive integer up to 2^53"))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         require_valid(self.marginal, "marginal")
 
 
@@ -142,10 +141,12 @@ class CountDistribution:
         return self.tail_mass * self.setup.n
 
     def prob(self, k: int) -> float:
+        k = _whole(k, "k must be an integer", -math.inf, math.inf)
         return float(self.pmf[k]) if 0 <= k <= self.k_max else 0.0
 
     def prob_at_most(self, k: int) -> float:
-        return float(self.pmf[: min(k, self.k_max) + 1].sum())
+        k = _whole(k, "k must be an integer", -math.inf, math.inf)
+        return float(self.pmf[: max(min(k, self.k_max) + 1, 0)].sum())
 
 
 # A double-precision sum of K entries cannot resolve a remaining mass
@@ -158,18 +159,12 @@ def _check_tail_tol(tail_tol: float, floor_for: str | None = None) -> None:
     the pmf out to k = n, and 1 or more truncates it to nothing.  A law
     whose tail past its entries is 1 minus their sum, named by
     ``floor_for``, also needs tail_tol >= _TAIL_TOL_FLOOR."""
+    tail_tol = _real(tail_tol, "tail_tol must be a real number in (0, 1)")
     if not 0.0 < tail_tol < 1.0:
         raise InputError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     if floor_for is not None and tail_tol < _TAIL_TOL_FLOOR:
         raise InputError(f"tail_tol must be >= {_TAIL_TOL_FLOOR} for "
                          f"{floor_for}, got {tail_tol!r}")
-
-
-def _forced_k_max(k_max, n: int) -> int:
-    """A forced truncation point: a whole number >= 0, clamped to n."""
-    if not _is_whole(k_max, 0, math.inf):
-        raise InputError(f"k_max must be a whole number >= 0, got {k_max!r}")
-    return min(int(k_max), n)
 
 
 def _truncated(setup: TestingSetup, pmf: np.ndarray, tail_tol: float | None,
@@ -198,7 +193,7 @@ def bh_count(pvalues, alpha: float) -> int:
     its threshold (with p_(n+1) treated as infinite, so k = n occurs).
     Threshold comparisons are non-strict.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     arr = np.sort(checked_pvalues(pvalues))
     n = arr.size
     if n == 0:
@@ -213,7 +208,7 @@ def bh_count_step_up(pvalues, alpha: float) -> int:
     Provided as a convenience only; every distribution computation in this
     package targets the step-down rule of :func:`bh_count`.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     arr = np.sort(checked_pvalues(pvalues))
     n = arr.size
     if n == 0:
@@ -224,7 +219,7 @@ def bh_count_step_up(pvalues, alpha: float) -> int:
 
 def bonferroni_count(pvalues, alpha: float) -> int:
     """Number of p-values at or below alpha/n (ties count as significant)."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     arr = checked_pvalues(pvalues)
     if arr.size == 0:
         return 0
@@ -322,8 +317,7 @@ def u_k(setup: TestingSetup, k: int) -> float:
     The log is returned because U_k leaves double range for large k
     (U_400 is about 1e-1598 in the TCGA setup).
     """
-    if not _is_whole(k, 0, setup.n):
-        raise InputError(f"k must be an integer in [0, n], got {k}")
+    k = _whole(k, "k must be an integer in [0, n]", 0, setup.n)
     return float(_step_down_logs(setup.n, _thresholds(setup, 0, k + 2))[0][k])
 
 
@@ -382,7 +376,8 @@ def bh_pmf(setup: TestingSetup, tail_tol: float = 1e-9,
     """
     _check_tail_tol(tail_tol, "the step-down pmf")
     if k_max is not None:
-        b = _thresholds(setup, 0, _forced_k_max(k_max, setup.n) + 2)
+        k_max = _whole(k_max, "k_max must be a whole number >= 0", 0, math.inf)
+        b = _thresholds(setup, 0, min(k_max, setup.n) + 2)
         return _truncated(setup, np.exp(_step_down_logs(setup.n, b)[1]), None)
     pmf = np.exp(_step_down_logs(setup.n, _capped_thresholds(setup, tail_tol))[1])
     dist = _truncated(setup, pmf, tail_tol)
@@ -408,8 +403,7 @@ def bh_pmf_uniform_exact(n: int, alpha: float, k: int) -> float:
     1 - (n+1) alpha / n is negative (alpha > n/(n+1)).
     """
     n = TestingSetup(n, alpha).n  # checks n as a size, and alpha
-    if not _is_whole(k, 0, n):
-        raise InputError(f"k must be an integer in [0, n], got {k}")
+    k = _whole(k, "k must be an integer in [0, n]", 0, n)
     a, d = float(alpha).as_integer_ratio()
     base = d * n - (k + 1) * a
     if base <= 0 and k < n:
@@ -421,9 +415,8 @@ def bh_pmf_uniform_exact(n: int, alpha: float, k: int) -> float:
 
 def borel_tanner_pmf(alpha: float, k: int) -> float:
     """Limit pmf (k+1)^(k-1)/k! * alpha^k * exp(-(k+1) alpha)."""
-    _check_alpha(alpha)
-    if not _is_whole(k, 0):
-        raise InputError(f"k must be a whole number >= 0, got {k}")
+    alpha = _check_alpha(alpha)
+    k = _whole(k, "k must be a whole number >= 0", 0)
     logp = (
         (k - 1) * math.log(k + 1)
         - math.lgamma(k + 1)
@@ -434,12 +427,12 @@ def borel_tanner_pmf(alpha: float, k: int) -> float:
 
 
 def borel_tanner_mean(alpha: float) -> float:
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     return alpha / (1.0 - alpha)
 
 
 def borel_tanner_var(alpha: float) -> float:
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     return alpha / (1.0 - alpha) ** 3
 
 
@@ -604,6 +597,6 @@ def normal_approx(setup: TestingSetup) -> NormalApprox:
 def borel_limit_param(theta: ThetaParams, alpha: float) -> float:
     """Parameter alpha * (beta_I + 1) of the near-zero limit component
     under top-coefficient scaling; beta_I = theta_I exactly."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     top = theta.coeffs[-1] if theta.order >= 1 else 0.0
     return alpha * (top + 1.0)

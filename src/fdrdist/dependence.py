@@ -37,12 +37,12 @@ from .count_dist import (
     TestingSetup,
     _binomial_pmf,
     _check_tail_tol,
-    _forced_k_max,
     _stirlerr,
     _truncated,
     bh_pmf,
 )
-from .psi_dist import _BLOCK, ThetaParams, _is_whole, cdf, moment, require_valid
+from .psi_dist import (_BLOCK, ThetaParams, _real, _reals, _whole, cdf, moment,
+                       require_valid)
 
 __all__ = [
     "Independent",
@@ -57,10 +57,12 @@ __all__ = [
 ]
 
 
-def _check_gamma(gamma: float) -> None:
-    """Reject a Gumbel parameter that is not finite or below 1."""
+def _check_gamma(gamma: float) -> float:
+    """The Gumbel parameter as a float, checked to be finite and >= 1."""
+    gamma = _real(gamma, "gamma must be a real number >= 1")
     if not (math.isfinite(gamma) and gamma >= 1.0):
         raise ConstraintError(f"gamma must be finite and >= 1, got {gamma}")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class GumbelCopula:
     gamma: float
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,7 @@ class Latent:
     eps: tuple
 
     def __post_init__(self):
-        vals = tuple(float(e) for e in self.eps)
-        if any(not math.isfinite(v) for v in vals):
-            raise InputError(f"eps entries must be finite: {vals}")
-        object.__setattr__(self, "eps", vals)
+        object.__setattr__(self, "eps", _reals(self.eps, "eps entries must be finite"))
 
 
 DependenceSpec = Independent | GumbelCopula | Latent
@@ -101,11 +100,9 @@ def perturbed_pair(theta: ThetaParams, eps) -> tuple[ThetaParams, ThetaParams]:
     The derived theta_0 changes with the perturbation; constructing fresh
     parameter objects keeps it consistent automatically.
     """
-    eps = tuple(float(e) for e in eps)
+    eps = _reals(eps, "eps entries must be finite")
     if len(eps) != theta.order:
-        raise InputError(
-            f"eps has length {len(eps)}, expected {theta.order}"
-        )
+        raise InputError(f"eps has length {len(eps)}, expected {theta.order}")
     minus = ThetaParams(theta.order, tuple(t - e for t, e in zip(theta.coeffs, eps)))
     plus = ThetaParams(theta.order, tuple(t + e for t, e in zip(theta.coeffs, eps)))
     require_valid(minus, "theta - eps")
@@ -116,11 +113,11 @@ def perturbed_pair(theta: ThetaParams, eps) -> tuple[ThetaParams, ThetaParams]:
 def gumbel_diagonal(p_star: float, m: int, gamma: float) -> float:
     """Copula diagonal C(p*, ..., p*) with m arguments: (p*)^(m^(1/gamma)),
     evaluated in log space."""
+    p_star = _real(p_star, "p_star must be a real number in (0, 1)")
     if not 0.0 < p_star < 1.0:
         raise InputError(f"p_star must lie in (0, 1), got {p_star}")
-    if not _is_whole(m):
-        raise InputError(f"m must be a positive integer up to 2^53, got {m}")
-    _check_gamma(gamma)
+    m = _whole(m, "m must be a positive integer up to 2^53")
+    gamma = _check_gamma(gamma)
     return math.exp(m ** (1.0 / gamma) * math.log(p_star))
 
 
@@ -349,7 +346,7 @@ def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
     relative; ``quadrature_disagreement`` records that difference, an
     estimate and not a bound.
     """
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     _check_tail_tol(tail_tol, "the copula pmf")
     n = setup.n
     p_star = cdf(setup.alpha / n, setup.marginal)
@@ -361,7 +358,8 @@ def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
     ell = -math.log(p_star)
     nodes = 1 if gamma == 1.0 else math.prod(_grid(gamma, 0))
     cap = (_copula_cap(n, ell, gamma, tail_tol, min(n, _MAX_WORK // nodes))
-           if k_max is None else _forced_k_max(k_max, n))
+           if k_max is None else
+           min(_whole(k_max, "k_max must be a whole number >= 0", 0, math.inf), n))
     pmf, disagreement, level = None, math.inf, 0
     if gamma == 1.0:
         pmf, disagreement = _binomial_pmf(n, p_star, cap), 0.0  # one node

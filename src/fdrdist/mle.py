@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericError
-from .psi_dist import ThetaParams, _checked_order, checked_pvalues, require_valid
+from .psi_dist import _MAX_ORDER, ThetaParams, _whole, checked_pvalues, require_valid
 
 __all__ = ["FitResult", "log_likelihood", "fit", "select_order"]
 
@@ -238,7 +238,7 @@ def fit(pvalues, order: int) -> FitResult:
     observed-information standard errors.  Raises NumericError if the
     solve fails.
     """
-    order = _checked_order(order, 1)
+    order = _whole(order, "order must be an integer in [1, 170]", 1, _MAX_ORDER)
     arr = np.sort(checked_pvalues(pvalues, positive=True))
     if arr.size < order + 5:
         raise InputError(
@@ -284,7 +284,8 @@ def select_order(pvalues, max_order: int = 6) -> FitResult:
     breast-cancer law, the 3 -> 4 step gave 2 Delta = 0 in 48 % of them
     and 2 Delta > 3.84 in 0.5 %.
     """
-    max_order = _checked_order(max_order, 1, "max_order")
+    max_order = _whole(max_order, "max_order must be an integer in [1, 170]", 1,
+                       _MAX_ORDER)
     fits = [fit(pvalues, 1)]
     selected = fits[0]
     for order in range(2, max_order + 1):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConstraintError, InputError
-from .psi_dist import ThetaParams, _is_whole, require_valid
+from .psi_dist import ThetaParams, _reals, _whole, require_valid
 from .count_dist import TestingSetup, _check_tail_tol
 from .dependence import latent_bh_pmf, latent_pvalue_correlation
 
@@ -52,14 +52,15 @@ class PowerGrid:
     rows: tuple
 
 
+_SIZES = "sample sizes must lie in [1, 2^53] and be integers"
+
+
 def scale_theta(pilot_theta: ThetaParams, n_subjects: int,
                 pilot_n: int) -> ThetaParams:
     """theta(N) = (N / pilot_N)^(1/2) * pilot theta, validated after
     scaling."""
-    if not (_is_whole(n_subjects) and _is_whole(pilot_n)):
-        raise InputError(f"sample sizes must lie in [1, 2^53] and be integers, "
-                         f"got N={n_subjects}, pilot_N={pilot_n}")
-    factor = math.sqrt(n_subjects / pilot_n)
+    factor = math.sqrt(_whole(n_subjects, _SIZES + " (N)")
+                       / _whole(pilot_n, _SIZES + " (pilot_N)"))
     scaled = ThetaParams(
         pilot_theta.order, tuple(factor * c for c in pilot_theta.coeffs)
     )
@@ -76,23 +77,21 @@ def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
     """
     theta = getattr(pilot, "theta_hat", pilot)
     if not isinstance(theta, ThetaParams):
-        raise InputError(
-            f"pilot must be a FitResult or ThetaParams, got {type(pilot).__name__}"
-        )
+        raise InputError(f"pilot must be a FitResult or ThetaParams, "
+                         f"got {type(pilot).__name__}")
     _check_tail_tol(tail_tol)
-    n_values = tuple(n_values)
-    z_values = tuple(float(v) for v in z_values)
+    z_values = _reals(z_values, "z values must be finite")
+    try:
+        n_values = tuple(n_values)
+        n_values = tuple(_whole(v, _SIZES) for v in n_values)
+        pilot_n = _whole(pilot_n, _SIZES)
+    except (InputError, TypeError):
+        raise InputError(f"{_SIZES}, got n_values={n_values}, "
+                         f"pilot_n={pilot_n}") from None
     if not n_values or not z_values:
         raise InputError("n_values and z_values must both be nonempty")
-    if not all(_is_whole(v) for v in n_values + (pilot_n,)):
-        raise InputError(f"sample sizes must lie in [1, 2^53] and be integers, "
-                         f"got n_values={n_values}, pilot_n={pilot_n}")
     if any(z < 0 for z in z_values):
         raise InputError(f"z values must be nonnegative, got {z_values}")
-    if not all(math.isfinite(z) for z in z_values):
-        raise InputError(f"z values must be finite, got {z_values}")
-    n_values = tuple(int(v) for v in n_values)
-    pilot_n = int(pilot_n)
     rows = []
     for n_subj in n_values:
         scaled = scale_theta(theta, n_subj, pilot_n)

@@ -19,6 +19,7 @@ nonnegative and nonincreasing in p and its CDF is concave.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -65,13 +66,31 @@ def _is_whole(value, lo: int = 1, hi: int = _MAX_SIZE) -> bool:
     return whole and lo <= value <= hi
 
 
-def _checked_order(order, lo: int = 0, what: str = "order") -> int:
-    """``order`` as an int; InputError unless it is whole, in [lo, 170]."""
-    if not _is_whole(order, lo, _MAX_ORDER):
-        raise InputError(
-            f"{what} must be an integer in [{lo}, {_MAX_ORDER}], got {order}"
-        )
-    return int(order)
+def _whole(value, rule: str, lo: int = 1, hi: int = _MAX_SIZE) -> int:
+    """``value`` as an int if :func:`_is_whole` accepts it, else
+    InputError(f"{rule}, got {value!r}")."""
+    if not _is_whole(value, lo, hi):
+        raise InputError(f"{rule}, got {value!r}")
+    return int(value)
+
+
+def _real(value, rule: str) -> float:
+    """``value`` as a float if it is a real number in float range (NaN and
+    inf included, 10**400 not), else InputError(f"{rule}, got {value!r}")."""
+    if isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise InputError(f"{rule}, got {value!r}")
+
+
+def _reals(values, rule: str) -> tuple:
+    """``values`` as a tuple of finite floats if it is an iterable of them,
+    else InputError(f"{rule}, got {values!r}")."""
+    with contextlib.suppress(InputError, TypeError):
+        vals = tuple(_real(v, rule) for v in values)
+        if all(map(math.isfinite, vals)):
+            return vals
+    raise InputError(f"{rule}, got {values!r}")
 
 
 def _weights(coeffs) -> list:
@@ -85,19 +104,25 @@ def _mass(u) -> float:
     return sum(reversed(u))
 
 
-def _as_coeff_tuple(coeffs, order: int, what: str) -> tuple:
-    vals = tuple(float(c) for c in coeffs)
-    if len(vals) != order:
-        raise InputError(
-            f"{what} expects {order} coefficients, got {len(vals)}"
-        )
-    if any(not math.isfinite(v) for v in vals):
-        raise InputError(f"{what} coefficients must be finite: {vals}")
-    return vals
-
-
 @dataclass(frozen=True)
-class ThetaParams:
+class _Coefficients:
+    """An order I in [0, 170] and I finite coefficients, lowest order first."""
+
+    order: int
+    coeffs: tuple = field(default=())
+
+    def __post_init__(self):
+        order = _whole(self.order, "order must be an integer in [0, 170]", 0,
+                       _MAX_ORDER)
+        name = type(self).__name__
+        coeffs = _reals(self.coeffs, f"{name} coefficients must be finite")
+        if len(coeffs) != order:
+            raise InputError(f"{name} expects {order} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+
+
+class ThetaParams(_Coefficients):
     """Density-side coefficients (theta_1, ..., theta_I).
 
     theta_0 is always derived from the normalization constraint and never
@@ -106,15 +131,6 @@ class ThetaParams:
     region is a separate, explicit step (:func:`validate_theta`).
     """
 
-    order: int
-    coeffs: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", _checked_order(self.order))
-        object.__setattr__(
-            self, "coeffs", _as_coeff_tuple(self.coeffs, self.order, "ThetaParams")
-        )
-
     @property
     def theta0(self) -> float:
         return 1.0 - _mass(_weights(self.coeffs))
@@ -122,29 +138,17 @@ class ThetaParams:
     @classmethod
     def uniform(cls, order: int = 0) -> "ThetaParams":
         """The uniform member, optionally padded with zero coefficients."""
-        return cls(order=order, coeffs=(0.0,) * order)
+        return cls(0).padded(order)
 
     def padded(self, order: int) -> "ThetaParams":
         """Zero-pad the coefficient vector up to a larger order."""
-        if order < self.order:
-            raise InputError(
-                f"cannot pad order {self.order} down to {order}"
-            )
+        order = _whole(order, f"order must be an integer in [{self.order}, 170]",
+                       self.order, _MAX_ORDER)
         return ThetaParams(order, self.coeffs + (0.0,) * (order - self.order))
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(_Coefficients):
     """CDF-side coefficients (beta_1, ..., beta_I); beta_0 is fixed at 1."""
-
-    order: int
-    coeffs: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", _checked_order(self.order))
-        object.__setattr__(
-            self, "coeffs", _as_coeff_tuple(self.coeffs, self.order, "BetaParams")
-        )
 
     @property
     def beta0(self) -> float:
@@ -206,7 +210,10 @@ def validate_theta(theta: ThetaParams) -> ValidationReport:
     density is nonnegative and nonincreasing in p.  Every bound but
     u_I > 0 is widened by 1e-12 to absorb rounding on the boundary.  The
     report names each violated inequality in theta, the top one first.
+    Anything but a ThetaParams raises InputError.
     """
+    if not isinstance(theta, ThetaParams):
+        raise InputError(f"expected ThetaParams, got {type(theta).__name__}")
     I = theta.order
     u = _weights(theta.coeffs)
     terms = [f"{math.factorial(i)}*theta_{i}" for i in range(1, I + 1)]
@@ -320,16 +327,14 @@ def quantile(q: float, theta: ThetaParams, tol: float = 1e-12) -> float:
     Guarantees |cdf(result) - q| <= tol, else raises NumericError; ``tol``
     must be finite and nonnegative.
     """
+    tol = _real(tol, "tol must be a real number")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"tol must be finite and >= 0, got {tol}")
+    q = _real(q, "quantile argument must be a real number")
     if not 0.0 <= q <= 1.0:
         raise InputError(f"quantile argument must lie in [0, 1], got {q}")
     if q == 0.0:
         return 0.0
-    if q == 1.0:
-        return 1.0
-    if all(c == 0.0 for c in theta.coeffs):
-        return q
     p = float(_quantile_array(np.array([q]), theta)[0])
     if abs(cdf(p, theta) - q) > tol:
         raise NumericError(
@@ -412,9 +417,7 @@ def moment(j: int, theta: ThetaParams) -> float:
     [1, 2^53].  A power (j+1)^(i+1) past the float range is divided out
     through its top 1000 bits and a power of two, so a term that underflows
     comes back as its subnormal or 0 instead of raising."""
-    if not _is_whole(j, 1):
-        raise InputError(f"moment order must be an integer in [1, 2^53], got {j}")
-    j = int(j)
+    j = _whole(j, "moment order must be an integer in [1, 2^53]")
     total = theta.theta0 / (j + 1)
     for i, u in enumerate(_weights(theta.coeffs), start=1):
         power = (j + 1) ** (i + 1)
@@ -431,7 +434,7 @@ def mix(thetas, weights) -> ThetaParams:
     nonnegative and sum to one.
     """
     thetas = list(thetas)
-    weights = [float(w) for w in weights]
+    weights = _reals(weights, "weights must be finite")
     if len(thetas) != len(weights) or not thetas:
         raise InputError("need equal, nonzero numbers of components and weights")
     if any(w < 0.0 for w in weights):
@@ -458,7 +461,7 @@ def random_theta(order: int, rng: np.random.Generator) -> ThetaParams:
     1986, Non-Uniform Random Variate Generation, ch. V); theta_i = u_i / i!.
     Every draw passes :func:`validate_theta`.
     """
-    order = _checked_order(order)
+    order = _whole(order, "order must be an integer in [0, 170]", 0, _MAX_ORDER)
     e = rng.standard_exponential(order + 1)
     # theta_I > 0 defines the order; an exponential of exactly 0 (drawn
     # with probability about 2^-53) is moved to the smallest normal float

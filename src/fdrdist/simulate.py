@@ -72,8 +72,8 @@ from .errors import InputError
 from .psi_dist import (
     _BLOCK,
     ThetaParams,
-    _is_whole,
     _quantile_array,
+    _whole,
     cdf,
     require_valid,
 )
@@ -110,14 +110,11 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("n_tests", "replicates"):
-            value = getattr(self, name)
-            if not _is_whole(value):
-                raise InputError(f"{name} must be an integer in [1, 2^53], got {value}")
-            object.__setattr__(self, name, int(value))
-        _check_alpha(self.alpha)
-        if not _is_whole(self.seed, 0, 2**64 - 1):
-            raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, name, _whole(
+                getattr(self, name), f"{name} must be an integer in [1, 2^53]"))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "seed", _whole(
+            self.seed, "seed must be a 64-bit unsigned integer", 0, 2**64 - 1))
         require_valid(self.marginal, "marginal")
         dep = self.dependence
         if not isinstance(dep, (Independent, GumbelCopula, Latent)):
@@ -139,10 +136,8 @@ def positive_stable(gamma: float, rng: np.random.Generator, size: int) -> np.nda
     degenerates to S = 1 (independence); the two driving variates are
     still consumed, so the draws taken from ``rng`` do not depend on gamma.
     """
-    _check_gamma(gamma)
-    if not _is_whole(size, 0):
-        raise InputError(f"size must be an integer in [0, 2^53], got {size}")
-    size = int(size)
+    gamma = _check_gamma(gamma)
+    size = _whole(size, "size must be an integer in [0, 2^53]", 0)
     w = math.pi * rng.random(size)
     e = -np.log1p(-rng.random(size))
     return np.exp(_log_kanter(gamma, w, e))
