@@ -58,20 +58,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    return obj
-
-
 def _emit(ctx_obj, command: str, config: dict, result: dict,
           table: tuple | None = None):
     """Write one result document.
@@ -80,11 +66,7 @@ def _emit(ctx_obj, command: str, config: dict, result: dict,
     body; other result entries become comment lines.  JSON always
     carries the full structure.
     """
-    doc = {
-        "command": command,
-        "config": _clean(config),
-        "result": _clean(result),
-    }
+    doc = {"command": command, "config": config, "result": result}
     if ctx_obj["format"] == "json":
         click.echo(json.dumps(doc, indent=2))
         return

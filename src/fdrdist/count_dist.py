@@ -34,6 +34,7 @@ from .psi_dist import (
     ThetaParams,
     _beta_poly,
     _horner,
+    _instance,
     _real,
     _theta_poly,
     _whole,
@@ -196,8 +197,6 @@ def bh_count(pvalues, alpha: float) -> int:
     alpha = _check_alpha(alpha)
     arr = np.sort(checked_pvalues(pvalues))
     n = arr.size
-    if n == 0:
-        return 0
     ok = arr <= np.arange(1, n + 1) * alpha / n
     return int(np.argmax(~ok)) if not ok.all() else n
 
@@ -211,8 +210,6 @@ def bh_count_step_up(pvalues, alpha: float) -> int:
     alpha = _check_alpha(alpha)
     arr = np.sort(checked_pvalues(pvalues))
     n = arr.size
-    if n == 0:
-        return 0
     ok = np.flatnonzero(arr <= np.arange(1, n + 1) * alpha / n)
     return int(ok[-1]) + 1 if ok.size else 0
 
@@ -317,6 +314,7 @@ def u_k(setup: TestingSetup, k: int) -> float:
     The log is returned because U_k leaves double range for large k
     (U_400 is about 1e-1598 in the TCGA setup).
     """
+    _instance(setup, TestingSetup, "expected TestingSetup")
     k = _whole(k, "k must be an integer in [0, n]", 0, setup.n)
     return float(_step_down_logs(setup.n, _thresholds(setup, 0, k + 2))[0][k])
 
@@ -374,6 +372,7 @@ def bh_pmf(setup: TestingSetup, tail_tol: float = 1e-9,
     runs to the cap for tail_tol 2^-53 and cuts with no mass past it, as a
     pass to k = n would.
     """
+    _instance(setup, TestingSetup, "expected TestingSetup")
     _check_tail_tol(tail_tol, "the step-down pmf")
     if k_max is not None:
         k_max = _whole(k_max, "k_max must be a whole number >= 0", 0, math.inf)
@@ -406,8 +405,6 @@ def bh_pmf_uniform_exact(n: int, alpha: float, k: int) -> float:
     k = _whole(k, "k must be an integer in [0, n]", 0, n)
     a, d = float(alpha).as_integer_ratio()
     base = d * n - (k + 1) * a
-    if base <= 0 and k < n:
-        return 0.0
     # (k+1)^(k-1) at k = 0 is 1, matching the exponent floor below
     num = math.comb(n, k) * (k + 1) ** max(k - 1, 0) * a ** k * base ** (n - k)
     return num / (d * n) ** n
@@ -524,6 +521,7 @@ def _poisson_law(setup: TestingSetup, mean: float,
 
 def bonferroni_pmf(setup: TestingSetup, tail_tol: float = 1e-9) -> CountDistribution:
     """Bonferroni count: Binomial(n, Psi(alpha/n)) under independence."""
+    _instance(setup, TestingSetup, "expected TestingSetup")
     _check_tail_tol(tail_tol)
     return _binomial_law(setup, cdf(setup.alpha / setup.n, setup.marginal),
                          tail_tol)
@@ -531,6 +529,7 @@ def bonferroni_pmf(setup: TestingSetup, tail_tol: float = 1e-9) -> CountDistribu
 
 def bonferroni_poisson(setup: TestingSetup, tail_tol: float = 1e-9) -> CountDistribution:
     """Large-n Poisson limit of the Bonferroni count, mean n*Psi(alpha/n)."""
+    _instance(setup, TestingSetup, "expected TestingSetup")
     _check_tail_tol(tail_tol)
     mean = setup.n * cdf(setup.alpha / setup.n, setup.marginal)
     return _poisson_law(setup, mean, tail_tol)
@@ -572,6 +571,7 @@ def normal_approx(setup: TestingSetup) -> NormalApprox:
     means there is no crossing and no normal component.  sigma is
     sqrt(n / psi(mu alpha / n)).
     """
+    _instance(setup, TestingSetup, "expected TestingSetup")
     n, alpha, theta = setup.n, setup.alpha, setup.marginal
     beta, poly = _beta_poly(theta).tolist(), _theta_poly(theta).tolist()
     mu = n - 1.0

@@ -41,8 +41,8 @@ from .count_dist import (
     _truncated,
     bh_pmf,
 )
-from .psi_dist import (_BLOCK, ThetaParams, _real, _reals, _whole, cdf, moment,
-                       require_valid)
+from .psi_dist import (_BLOCK, ThetaParams, _instance, _real, _reals, _whole, cdf,
+                       moment, require_valid)
 
 __all__ = [
     "Independent",
@@ -346,6 +346,7 @@ def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
     relative; ``quadrature_disagreement`` records that difference, an
     estimate and not a bound.
     """
+    _instance(setup, TestingSetup, "expected TestingSetup")
     gamma = _check_gamma(gamma)
     _check_tail_tol(tail_tol, "the copula pmf")
     n = setup.n
@@ -366,10 +367,11 @@ def bonferroni_pmf_copula(setup: TestingSetup, gamma: float,
     while disagreement > _AGREE_RTOL:
         n_w, n_e = _grid(gamma, level)
         if n_w * n_e * (cap + 1) > _MAX_WORK:
+            from decimal import Decimal  # n_e grows with gamma past float range
             raise NumericError(
                 f"bonferroni_pmf_copula(n={n}, gamma={gamma}) did not "
-                f"converge: grid {level + 1}, {n_w}x{n_e} nodes for {cap + 1} "
-                f"counts, exceeds the cap of {_MAX_WORK} entries (last "
+                f"converge: grid {level + 1}, {n_w}x{Decimal(n_e):.3g} nodes for "
+                f"{cap + 1} counts, exceeds the cap of {_MAX_WORK} entries (last "
                 f"disagreement between two grids: {disagreement:.1e})"
             )
         prev, pmf = pmf, _frailty_pmf(n, gamma * math.log(ell), gamma, cap,
@@ -387,6 +389,7 @@ def latent_bh_pmf(setup: TestingSetup, eps,
     equal-weight mixture of the two conditional (independent) pmfs, each
     cut at tail_tol, kept whole with half of each one's tail mass beyond
     it.  With eps all zero both are the same pmf, computed once."""
+    _instance(setup, TestingSetup, "expected TestingSetup")
     minus, plus = perturbed_pair(setup.marginal, eps)
     dist_m = bh_pmf(TestingSetup(setup.n, setup.alpha, minus), tail_tol)
     dist_p = dist_m if plus == minus else bh_pmf(

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConstraintError, InputError
-from .psi_dist import ThetaParams, _reals, _whole, require_valid
+from .psi_dist import ThetaParams, _instance, _reals, _whole, require_valid
 from .count_dist import TestingSetup, _check_tail_tol
 from .dependence import latent_bh_pmf, latent_pvalue_correlation
 
@@ -75,10 +75,8 @@ def power_table(pilot, pilot_n: int, n_tests: int, alpha: float,
     vector.  Sample sizes must be integers in [1, 2^53] and z values
     finite and nonnegative.  Infeasible cells fail with the offending (N, z) named.
     """
-    theta = getattr(pilot, "theta_hat", pilot)
-    if not isinstance(theta, ThetaParams):
-        raise InputError(f"pilot must be a FitResult or ThetaParams, "
-                         f"got {type(pilot).__name__}")
+    theta = _instance(getattr(pilot, "theta_hat", pilot), ThetaParams,
+                      "pilot must be a FitResult or ThetaParams")
     _check_tail_tol(tail_tol)
     z_values = _reals(z_values, "z values must be finite")
     try:

@@ -57,21 +57,22 @@ _MAX_ORDER = 170
 _BLOCK = 1 << 16
 
 
-def _is_whole(value, lo: int = 1, hi: int = _MAX_SIZE) -> bool:
-    """True for an integer or a whole-valued float in [lo, hi] (by default
-    a size: 1 to 2^53); NaN, inf and anything not a real number are not."""
-    if not isinstance(value, numbers.Real):
-        return False
-    whole = isinstance(value, numbers.Integral) or float(value).is_integer()
-    return whole and lo <= value <= hi
-
-
 def _whole(value, rule: str, lo: int = 1, hi: int = _MAX_SIZE) -> int:
-    """``value`` as an int if :func:`_is_whole` accepts it, else
-    InputError(f"{rule}, got {value!r}")."""
-    if not _is_whole(value, lo, hi):
+    """``value`` as an int if it is an integer or a whole-valued float in
+    [lo, hi] (by default a size: 1 to 2^53), else InputError(f"{rule}, got
+    {value!r}"); NaN, inf and anything not a real number fail."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if not (whole and lo <= value <= hi):
         raise InputError(f"{rule}, got {value!r}")
     return int(value)
+
+
+def _instance(value, kind, rule: str):
+    """``value`` if it is a ``kind``, else InputError naming its type."""
+    if not isinstance(value, kind):
+        raise InputError(f"{rule}, got {type(value).__name__}")
+    return value
 
 
 def _real(value, rule: str) -> float:
@@ -212,8 +213,7 @@ def validate_theta(theta: ThetaParams) -> ValidationReport:
     report names each violated inequality in theta, the top one first.
     Anything but a ThetaParams raises InputError.
     """
-    if not isinstance(theta, ThetaParams):
-        raise InputError(f"expected ThetaParams, got {type(theta).__name__}")
+    _instance(theta, ThetaParams, "expected ThetaParams")
     I = theta.order
     u = _weights(theta.coeffs)
     terms = [f"{math.factorial(i)}*theta_{i}" for i in range(1, I + 1)]
@@ -241,9 +241,15 @@ def checked_pvalues(pvalues, positive: bool = False) -> np.ndarray:
 
     With ``positive`` the array must also be nonempty and every entry lie
     in (0, 1], the domain of the density.  Errors name the index of the
-    first offending entry.
+    first offending entry; if numpy cannot convert the argument, that is
+    its first entry that is not a real number.
     """
-    arr = np.asarray(pvalues, dtype=float)
+    try:
+        arr = np.asarray(pvalues, dtype=float)
+    except (TypeError, ValueError):
+        bad = (i for i, v in enumerate(pvalues if np.iterable(pvalues) else [pvalues])
+               if not isinstance(v, numbers.Real))
+        raise InputError(f"p-value at index {next(bad, 0)} is not a number") from None
     if arr.ndim != 1:
         raise InputError(f"expected a flat vector of p-values, got shape {arr.shape}")
     if positive and not arr.size:
@@ -251,12 +257,12 @@ def checked_pvalues(pvalues, positive: bool = False) -> np.ndarray:
     finite = np.isfinite(arr)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise InputError(f"p-value at index {i} is not finite: {arr[i]!r}")
+        raise InputError(f"p-value at index {i} is not finite: {float(arr[i])}")
     bad = ((arr <= 0.0) if positive else (arr < 0.0)) | (arr > 1.0)
     if bad.any():
         i = int(np.argmax(bad))
         domain = "(0, 1]" if positive else "[0, 1]"
-        raise InputError(f"p-value at index {i} is {arr[i]!r}, outside {domain}")
+        raise InputError(f"p-value at index {i} is {float(arr[i])}, outside {domain}")
     return arr
 
 
@@ -282,9 +288,9 @@ def density(p, theta: ThetaParams):
     Accepts a scalar or an array; the domain is (0, 1].  density(1) equals
     theta_0 exactly.  The caller is responsible for parameter validity.
     """
-    arr = np.asarray(p, dtype=float)
+    arr = np.asarray(p)
     if arr.size:
-        checked_pvalues(arr.reshape(-1), positive=True)
+        arr = checked_pvalues(arr.reshape(-1), positive=True).reshape(arr.shape)
     x = -np.log(arr)
     out = _horner(_theta_poly(theta), x)
     return float(out) if np.isscalar(p) else out
@@ -297,9 +303,8 @@ def cdf(p, theta: ThetaParams):
     evaluated as exp(-x + log B(x)), x = -log p and B the polynomial, so
     the product is never formed from a subnormal p.
     """
-    arr = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise InputError("cdf argument must lie in [0, 1]")
+    arr = np.asarray(p)
+    arr = checked_pvalues(arr.reshape(-1)).reshape(arr.shape)
     beta = _beta_poly(theta)
     with np.errstate(divide="ignore"):
         x = -np.log(arr)

@@ -72,6 +72,7 @@ from .errors import InputError
 from .psi_dist import (
     _BLOCK,
     ThetaParams,
+    _instance,
     _quantile_array,
     _whole,
     cdf,
@@ -116,9 +117,8 @@ class SimConfig:
         object.__setattr__(self, "seed", _whole(
             self.seed, "seed must be a 64-bit unsigned integer", 0, 2**64 - 1))
         require_valid(self.marginal, "marginal")
-        dep = self.dependence
-        if not isinstance(dep, (Independent, GumbelCopula, Latent)):
-            raise InputError(f"unsupported dependence spec {dep!r}")
+        dep = _instance(self.dependence, (Independent, GumbelCopula, Latent),
+                        "unsupported dependence spec")
         if isinstance(dep, Latent):
             perturbed_pair(self.marginal, dep.eps)  # raises if either side is invalid
 
@@ -213,6 +213,7 @@ def sample_pvalues(config: SimConfig) -> np.ndarray:
 
     Exponentials are drawn by inversion, so every row takes exactly m words.
     """
+    _instance(config, SimConfig, "expected SimConfig")
     out = np.empty((config.replicates, config.n_tests))
     dep, marginals = config.dependence, _marginals(config)
     for lo, hi, aux, x in _iter_pvalue_chunks(config):
@@ -351,6 +352,7 @@ def empirical_count_distribution(config: SimConfig,
     counts equal those of the fully transformed :func:`sample_pvalues`
     matrix (module docstring).
     """
+    _instance(config, SimConfig, "expected SimConfig")
     rule_key = str(rule).lower()
     if rule_key not in _RULES:
         raise InputError(f"rule must be one of {_RULES}, got {rule!r}")

@@ -31,10 +31,14 @@ from fdrdist import (
     borel_tanner_mean,
     borel_tanner_pmf,
     borel_tanner_var,
+    cdf,
+    density,
+    empirical_count_distribution,
     fit,
     gumbel_diagonal,
     latent_bh_pmf,
     latent_pvalue_correlation,
+    log_likelihood,
     mix,
     moment,
     normal_approx,
@@ -44,6 +48,7 @@ from fdrdist import (
     quantile,
     random_theta,
     require_valid,
+    sample_pvalues,
     scale_theta,
     select_order,
     u_k,
@@ -234,3 +239,95 @@ def test_only_theta_params_are_marginals(call):
     # a different law
     with pytest.raises(InputError, match="expected ThetaParams, got BetaParams"):
         call(BetaParams(3, (0.158, 0.0492, 0.0201)))
+
+
+# p-value vectors numpy cannot convert, verbatim: each once escaped as the
+# plain ValueError of np.asarray
+PVALUE_ESCAPES = {
+    "bh_count": lambda: bh_count(["a"], 0.05),
+    "fit": lambda: fit(["a"] * 20, 1),
+    "log_likelihood": lambda: log_likelihood(["a"], THETA_BC3),
+    "cdf": lambda: cdf("x", THETA_BC3),
+    "density": lambda: density(["a"], THETA_BC3),
+}
+
+
+@pytest.mark.parametrize("call", PVALUE_ESCAPES.values(), ids=PVALUE_ESCAPES.keys())
+def test_pvalue_non_numbers_are_input_errors(call):
+    with pytest.raises(InputError, match="^p-value at index 0 is not a number$"):
+        call()
+
+
+@pytest.mark.parametrize("count", [bh_count, bh_count_step_up, bonferroni_count])
+def test_pvalue_message_names_the_first_non_number(count):
+    # the index of the first entry that is not a number, not the argument
+    pvalues = [0.01] * 1000 + ["a", None, "b"]
+    with pytest.raises(InputError) as info:
+        count(pvalues, 0.05)
+    assert str(info.value) == "p-value at index 1000 is not a number"
+    with pytest.raises(InputError, match="^p-value at index 1 is not a number$"):
+        count([0.01, [0.02, 0.03]], 0.05)
+    with pytest.raises(InputError, match="^p-value at index 0 is not a number$"):
+        count(object(), 0.05)
+
+
+def test_cdf_and_density_range_faults_come_from_checked_pvalues():
+    # the same messages as the count and fit entry points, at the flat index
+    with pytest.raises(InputError, match=r"^p-value at index 0 is 1\.5, outside \[0, 1\]$"):
+        cdf(1.5, THETA_BC3)
+    with pytest.raises(InputError, match=r"^p-value at index 3 is -0\.1, outside \[0, 1\]$"):
+        cdf(np.array([[0.1, 0.2], [0.3, -0.1]]), THETA_BC3)
+    with pytest.raises(InputError, match=r"^p-value at index 1 is 0\.0, outside \(0, 1\]$"):
+        density([0.5, 0.0], THETA_BC3)
+    with pytest.raises(InputError, match="^p-value at index 0 is not finite: nan$"):
+        cdf(math.nan, THETA_BC3)
+
+
+def test_pvalue_messages_print_plain_floats():
+    # no numpy 2 scalar reprs such as np.float64(1.5)
+    with pytest.raises(InputError) as info:
+        bh_count([0.5, 1.5], 0.05)
+    assert str(info.value) == "p-value at index 1 is 1.5, outside [0, 1]"
+    with pytest.raises(InputError) as info:
+        fit([0.0] * 20 + [0.5], 1)
+    assert str(info.value) == "p-value at index 0 is 0.0, outside (0, 1]"
+    with pytest.raises(InputError) as info:
+        log_likelihood(np.array([0.5, np.inf]), THETA_BC3)
+    assert str(info.value) == "p-value at index 1 is not finite: inf"
+
+
+# the functions that take a TestingSetup or a SimConfig, each with a
+# wrong object in its place; all of them once raised AttributeError
+PARAMETER_OBJECTS = {
+    "bh_pmf": (lambda s: bh_pmf(s), "TestingSetup"),
+    "u_k": (lambda s: u_k(s, 1), "TestingSetup"),
+    "bonferroni_pmf": (lambda s: bonferroni_pmf(s), "TestingSetup"),
+    "bonferroni_poisson": (lambda s: bonferroni_poisson(s), "TestingSetup"),
+    "normal_approx": (lambda s: normal_approx(s), "TestingSetup"),
+    "bonferroni_pmf_copula": (lambda s: bonferroni_pmf_copula(s, 1.3), "TestingSetup"),
+    "latent_bh_pmf": (lambda s: latent_bh_pmf(s, (0.0,) * 3), "TestingSetup"),
+    "sample_pvalues": (lambda c: sample_pvalues(c), "SimConfig"),
+    "empirical_count_distribution":
+        (lambda c: empirical_count_distribution(c), "SimConfig"),
+}
+
+
+@pytest.mark.parametrize("call, kind", [
+    pytest.param(call, kind, id=name) for name, (call, kind) in PARAMETER_OBJECTS.items()
+])
+@pytest.mark.parametrize("wrong, shown", [
+    (None, "NoneType"), (ThetaParams.uniform(), "ThetaParams"), ("x", "str"),
+])
+def test_wrong_parameter_objects_are_input_errors(call, kind, wrong, shown):
+    with pytest.raises(InputError, match=f"^expected {kind}, got {shown}$"):
+        call(wrong)
+
+
+def test_type_checks_share_one_message_form():
+    with pytest.raises(InputError, match="^expected ThetaParams, got NoneType$"):
+        validate_theta(None)
+    with pytest.raises(InputError,
+                       match="^pilot must be a FitResult or ThetaParams, got str$"):
+        power_table("x", 78, 100, 0.05, (78,), (0.0,))
+    with pytest.raises(InputError, match="^unsupported dependence spec, got str$"):
+        SimConfig(5, 5, _U, 0.05, 1, dependence="copula")

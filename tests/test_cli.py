@@ -596,3 +596,22 @@ def test_cli_commands_never_import_scipy(tmp_path):
                          capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_gamma_and_poisson_together_exit_2(runner):
+    result = _invoke(runner, ["bonf-dist", "--n", "100", "--alpha", "0.05",
+                              "--theta", "0.5", "--gamma", "1.3", "--poisson"])
+    assert result.exit_code == 2
+    assert "--gamma and --poisson are mutually exclusive" in result.output
+
+
+@pytest.mark.parametrize("gamma, nodes", [("1e6", "32x1.28e+8"),
+                                          ("1e308", "32x1.28e+310")])
+def test_copula_over_budget_message_stays_short(runner, gamma, nodes):
+    # the E-node count grows with gamma; it prints in three digits
+    result = _invoke(runner, ["bonf-dist", "--n", "100", "--alpha", "0.05",
+                              "--theta", "0.5", "--gamma", gamma])
+    assert result.exit_code == 3
+    assert "did not converge" in result.output
+    assert f"grid 1, {nodes} nodes for 1 counts" in result.output
+    assert len(result.output) < 250

@@ -11,6 +11,7 @@ passes agree, with the factorial identity behind it checked separately.
 """
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -885,3 +886,28 @@ def test_count_distribution_rejects_bad_mass():
         CountDistribution(setup, np.array([-0.1, 0.8, 0.3]), 2, 0.0)
     with pytest.raises(InputError):
         CountDistribution(setup, np.array([0.5, 0.5]), 2, 0.0)
+
+
+@pytest.mark.parametrize("n, hi", [(1, 0), (7, 3), (50, 50)])
+def test_binomial_pmf_at_degenerate_p(n, hi):
+    at_zero = count_dist._binomial_pmf(n, 0.0, hi)
+    assert at_zero.tolist() == [1.0] + [0.0] * hi
+    at_one = count_dist._binomial_pmf(n, 1.0, n)  # hi = n when p = 1
+    assert at_one.tolist() == [0.0] * n + [1.0]
+
+
+def test_poisson_pmf_at_mean_zero():
+    pmf = count_dist._poisson_pmf(0.0, count_dist._log_factorials(5))
+    assert pmf.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_uniform_exact_survival_base_stays_positive_below_n(n):
+    # alpha < 1 gives 1 - (k+1) alpha / n > 0 for every k < n, so no count
+    # below n is zero by the survival factor, even at the largest alpha
+    alpha = math.nextafter(1.0, 0.0)
+    a = Fraction(alpha)
+    for k in (n - 1, n):
+        exact = (math.comb(n, k) * (k + 1) ** max(k - 1, 0) * (a / n) ** k
+                 * (1 - (k + 1) * a / n) ** (n - k))
+        assert bh_pmf_uniform_exact(n, alpha, k) == float(exact) > 0.0

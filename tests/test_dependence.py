@@ -389,3 +389,11 @@ def test_latent_pmf_propagates_infeasible_eps():
     setup = TestingSetup(100, 0.05, THETA_BC3)
     with pytest.raises(ConstraintError):
         latent_bh_pmf(setup, (0.0, 0.0, 0.03))
+
+
+def test_copula_raises_when_p_star_leaves_the_unit_interval():
+    # alpha / n underflows to 0, so p* = Psi(0) = 0 and -log p* is infinite
+    setup = TestingSetup(2, 5e-324)
+    assert cdf(setup.alpha / setup.n, setup.marginal) == 0.0
+    with pytest.raises(NumericError, match=r"p\* = Psi\(alpha/n\) = 0\.0 leaves \(0, 1\)"):
+        bonferroni_pmf_copula(setup, 1.5)

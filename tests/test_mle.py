@@ -24,6 +24,7 @@ from fdrdist import (
     select_order,
     validate_theta,
 )
+from fdrdist import mle
 from fdrdist.mle import _snap_boundaries
 from fdrdist.psi_dist import _quantile_array
 
@@ -377,3 +378,59 @@ def test_select_order_stops_at_one_on_null_data():
 def test_select_order_validation():
     with pytest.raises(InputError, match="max_order"):
         select_order([0.5] * 100, max_order=0)
+
+
+# ------------------------------------------- branches of the active-set solve
+
+def _steep_pvalues(seed):
+    """p = exp(-s E), E standard exponential, s ~ U(1, 40), n in [100, 200):
+    samples whose solve reaches the faces of the simplex."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(1.0, 40.0)
+    n = int(rng.integers(100, 200))
+    return np.exp(-s * rng.standard_exponential(n))
+
+
+def _count_solver_branches(monkeypatch):
+    """Counts, over the fits that follow, of the releases of sum(u) <= 1
+    and of the objective evaluations (one to start, one per line-search
+    trial)."""
+    seen = {"release": 0, "evaluations": 0}
+    last = {}
+    newton_step, mean_loglik = mle._newton_step, mle._mean_loglik
+
+    def counting_step(g, h, free, sum_active):
+        # a release solves again at the same gradient without the constraint
+        if last.get("g") is g and last["sum_active"] and not sum_active:
+            seen["release"] += 1
+        last.update(g=g, sum_active=sum_active)
+        return newton_step(g, h, free, sum_active)
+
+    def counting_loglik(m, u):
+        seen["evaluations"] += 1
+        return mean_loglik(m, u)
+
+    monkeypatch.setattr(mle, "_newton_step", counting_step)
+    monkeypatch.setattr(mle, "_mean_loglik", counting_loglik)
+    return seen
+
+
+@pytest.mark.parametrize("seed, order", [(3, 1), (25, 1), (44, 1)])
+def test_fit_releases_the_sum_constraint(monkeypatch, seed, order):
+    p = _steep_pvalues(seed)
+    seen = _count_solver_branches(monkeypatch)
+    res = fit(p, order)
+    assert seen["release"] >= 1
+    oracle = _slsqp_loglik(p, order)
+    assert res.loglik >= oracle - 1e-9 * max(1.0, abs(oracle))
+
+
+@pytest.mark.parametrize("seed, order", [(2, 3), (5, 3), (25, 2)])
+def test_fit_halves_the_step(monkeypatch, seed, order):
+    p = _steep_pvalues(seed)
+    seen = _count_solver_branches(monkeypatch)
+    res = fit(p, order)
+    # without a halving every Newton step is one trial
+    assert seen["evaluations"] > 1 + res.iterations
+    oracle = _slsqp_loglik(p, order)
+    assert res.loglik >= oracle - 1e-9 * max(1.0, abs(oracle))

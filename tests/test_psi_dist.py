@@ -598,3 +598,23 @@ def test_mix_weight_validation():
 def test_pi0_estimate_is_theta0():
     assert pi0_estimate(THETA_BC3) == THETA_BC3.theta0
     assert pi0_estimate(ThetaParams.uniform()) == 1.0
+
+
+def test_coefficient_count_must_match_order():
+    with pytest.raises(InputError, match="^ThetaParams expects 2 coefficients, got 1$"):
+        ThetaParams(2, (0.1,))
+
+
+def test_cdf_and_density_keep_any_shape():
+    grid = np.array([[0.0, 0.25], [0.5, 1.0]])
+    out = cdf(grid, THETA_BC3)
+    assert out.shape == (2, 2)
+    assert out.tolist() == [[cdf(v, THETA_BC3) for v in row] for row in grid.tolist()]
+    assert cdf(np.array(0.5), THETA_BC3).shape == ()
+    assert type(cdf(np.float64(0.5), THETA_BC3)) is float
+    assert cdf([0.5], THETA_BC3).tolist() == [cdf(0.5, THETA_BC3)]
+    cube = np.full((2, 1, 3), 0.5)
+    assert density(cube, THETA_BC3).shape == (2, 1, 3)
+    assert density(1, THETA_BC3) == THETA_BC3.theta0
+    empty = density([], THETA_BC3)
+    assert isinstance(empty, np.ndarray) and empty.size == 0
